@@ -139,3 +139,43 @@ def report(y, yhat) -> MetricReport:
         ssr=ssr(yhatlist, ybar),
         sst=sst_v,
     )
+
+
+def report_columns(y, yhat) -> list[MetricReport]:
+    """``report(y, yhat[:, j])`` for every column j of an (n, K) matrix.
+
+    Each report equals the scalar one bit for bit: the sums over rows run
+    left to right as running sums down the columns (np.sum may add
+    pairwise). Squares are never -0.0, so starting from the first row
+    instead of _sum's 0.0 changes nothing.
+    """
+    ylist = _as_list(y, "y")
+    preds = np.asarray(yhat, dtype=np.float64)
+    if preds.ndim != 2:
+        raise ValueError("yhat must be a 2-D matrix")
+    if not np.isfinite(preds).all():
+        raise ValueError("yhat contains NaN or infinite values")
+    if len(ylist) != preds.shape[0]:
+        raise ValueError(f"length mismatch: {len(ylist)} vs {preds.shape[0]}")
+    if not ylist:
+        raise ValueError("metrics are undefined for empty vectors")
+    n = len(ylist)
+    ybar = _sum(ylist) / n
+    sst_v = sst(ylist, ybar)
+    resid = np.asarray(ylist)[:, None] - preds
+    sse_cols = np.add.accumulate(resid * resid, axis=0)[-1].tolist()
+    dev = preds - ybar
+    ssr_cols = np.add.accumulate(dev * dev, axis=0)[-1].tolist()
+    reports = []
+    for sse_v, ssr_v in zip(sse_cols, ssr_cols):
+        mse_v = sse_v / n
+        reports.append(MetricReport(
+            n=n,
+            sse=sse_v,
+            mse=mse_v,
+            rmse=math.sqrt(mse_v),
+            r_squared=None if sst_v == 0.0 else 1.0 - sse_v / sst_v,
+            ssr=ssr_v,
+            sst=sst_v,
+        ))
+    return reports

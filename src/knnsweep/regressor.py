@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import Dataset, SchemaError, Standardizer, apply_standardizer
 from .distance import DistanceMetric
+from .metrics import _sum
 from .neighbors import SearchBackend, build_index
 
 
@@ -84,7 +85,10 @@ def predict_from_neighbors(targets, distances, weighting: WeightingMode) -> floa
 
     uniform: arithmetic mean. inverse_distance: sum(y/d) / sum(1/d); when
     any neighbor sits at distance exactly 0, the prediction is the mean of
-    the zero-distance neighbors' targets (exact-match rule).
+    the zero-distance neighbors' targets (exact-match rule). When the
+    weighted mean is not finite because 1/d or a sum overflowed (subnormal
+    distances), it is recomputed with weights min(d)/d, which is the same
+    mean in exact arithmetic and cannot overflow through the weights.
     """
     targets = list(targets)
     distances = list(distances)
@@ -93,20 +97,69 @@ def predict_from_neighbors(targets, distances, weighting: WeightingMode) -> floa
     exact = [t for t, d in zip(targets, distances) if d == 0.0]
     if exact:
         return _mean(exact)
+    pred = _weighted_mean(targets, distances, 1.0)
+    if not math.isfinite(pred):
+        pred = _weighted_mean(targets, distances, min(distances))
+    return pred
+
+
+def _weighted_mean(targets, distances, scale: float) -> float:
     num = 0.0
     den = 0.0
     for t, d in zip(targets, distances):
-        w = 1.0 / d
+        w = scale / d
         num += w * t
         den += w
     return num / den
 
 
 def _mean(values) -> float:
-    total = 0.0
-    for v in values:
-        total += v
-    return total / len(values)
+    return _sum(values) / len(values)
+
+
+def predict_prefixes(targets, distances, weighting: WeightingMode) -> np.ndarray:
+    """Predictions from every prefix of many neighbor lists at once.
+
+    ``targets`` and ``distances`` are (m, k) matrices whose rows are
+    neighbor lists in (distance, index) order. Wherever it is finite,
+    entry (i, j) of the result equals, bit for bit,
+    ``predict_from_neighbors(targets[i, :j + 1], distances[i, :j + 1],
+    weighting)``. Non-finite predictions are returned for the caller to
+    reject.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    distances = np.asarray(distances, dtype=np.float64)
+    counts = np.arange(1, targets.shape[1] + 1)
+    with np.errstate(all="ignore"):
+        sums = _prefix_sums(targets)
+        if weighting is WeightingMode.UNIFORM:
+            return sums[:, 1:] / counts
+        out = _weighted_prefix_means(targets, 1.0 / distances)
+        # A row's first distance is the smallest of each of its prefixes.
+        rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        scaled = _weighted_prefix_means(targets[rows], distances[rows, :1] / distances[rows])
+        out[rows] = np.where(np.isfinite(out[rows]), out[rows], scaled)
+    # Zero distances sort first: a row with z of them averages its first
+    # min(k, z) targets at every k.
+    n_zero = np.count_nonzero(distances == 0.0, axis=1)
+    rows = np.flatnonzero(n_zero)
+    prefix = np.minimum(counts, n_zero[rows, None])
+    out[rows] = np.take_along_axis(sums[rows], prefix, axis=1) / prefix
+    return out
+
+
+def _weighted_prefix_means(targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return _prefix_sums(weights * targets)[:, 1:] / _prefix_sums(weights)[:, 1:]
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Left-to-right running sums along each row, starting from a 0.0 column.
+
+    np.add.accumulate adds in order like the scalar loops; the leading 0.0
+    is their starting total, which turns a -0.0 first term into 0.0.
+    """
+    start = np.zeros((values.shape[0], 1))
+    return np.add.accumulate(np.concatenate((start, values), axis=1), axis=1)
 
 
 def predict_one(model: KnnModel, q) -> float:

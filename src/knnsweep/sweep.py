@@ -3,25 +3,28 @@
 One split and one neighbor index serve every k: each test row is queried
 once at k_max and the per-k predictions are taken from prefixes of the
 (distance, index)-ordered neighbor lists, which is exactly what a per-k
-refit would return. Per-k evaluations are independent and may run on a
-thread pool (capped by KNN_SWEEP_THREADS); results are assembled in k
-order, so output is identical regardless of schedule.
+refit would return. Every k is evaluated in one pass, with no per-k loop
+or thread pool: running sums along the neighbor lists give all the
+predictions (regressor.predict_prefixes) and running sums down the test
+rows give all the metrics (metrics.report_columns). Both add left to
+right like the scalar code, so each row equals a per-k refit bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .dataset import Dataset, SplitSpec, apply_standardizer, fit_standardizer, split
 from .distance import DistanceMetric
-from .metrics import MetricReport, report
+from .metrics import MetricReport, report_columns
 from .neighbors import SearchBackend, build_index
-from .regressor import WeightingMode, predict_from_neighbors
+from .regressor import WeightingMode, predict_prefixes
 
 CHART_WIDTH = 800
 CHART_HEIGHT = 500
@@ -84,61 +87,39 @@ def run_sweep(data: Dataset, config: SweepConfig) -> SweepResult:
             f"left by the split"
         )
     index = build_index(train, config.metric, config.backend)
-    neighbor_targets = []
-    neighbor_dists = []
+    neighbor_rows = np.empty((test.n_rows, config.k_max), dtype=np.int64)
+    neighbor_dists = np.empty((test.n_rows, config.k_max), dtype=np.float64)
     for i in range(test.n_rows):
         ns = index.query(test.features[i], config.k_max)
-        neighbor_targets.append(train.target[ns.indices].tolist())
-        neighbor_dists.append(ns.distances.tolist())
-    y_test = test.target
-
-    def eval_k(k: int) -> MetricReport:
-        preds = [
-            predict_from_neighbors(t[:k], d[:k], config.weighting)
-            for t, d in zip(neighbor_targets, neighbor_dists)
-        ]
-        return report(y_test, preds)
-
-    ks = list(range(config.k_min, config.k_max + 1))
-    workers = _thread_count()
-    if workers == 1 or len(ks) == 1:
-        reports = [eval_k(k) for k in ks]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(ks))) as pool:
-            reports = list(pool.map(eval_k, ks))
-    rows = tuple(zip(ks, reports))
-
-    best_rmse_k, best_rmse_v = None, None
-    best_r2_k, best_r2_v = None, None
-    for k, rep in rows:
-        if best_rmse_v is None or rep.rmse < best_rmse_v:
-            best_rmse_k, best_rmse_v = k, rep.rmse
-        if rep.r_squared is not None and (best_r2_v is None or rep.r_squared > best_r2_v):
-            best_r2_k, best_r2_v = k, rep.r_squared
-    return SweepResult(rows=rows, best_k_rmse=best_rmse_k, best_k_r2=best_r2_k)
+        neighbor_rows[i] = ns.indices
+        neighbor_dists[i] = ns.distances
+    _thread_count()  # a bad KNN_SWEEP_THREADS fails every sweep; no stage uses the count
+    preds = predict_prefixes(train.target[neighbor_rows], neighbor_dists, config.weighting)
+    reports = report_columns(test.target, preds[:, config.k_min - 1:])
+    rows = tuple(zip(range(config.k_min, config.k_max + 1), reports))
+    return SweepResult(rows=rows, best_k_rmse=_best_k(rows, "rmse"),
+                       best_k_r2=_best_k(rows, "r2"))
 
 
 def select_best(result: SweepResult, criterion: str) -> int:
     """argmin RMSE or argmax R² over the sweep rows, smallest k on ties."""
     if not result.rows:
         raise ValueError("empty sweep result")
+    best = _best_k(result.rows, criterion)
+    if best is None:
+        raise ValueError("R² is undefined for every k (constant test targets)")
+    return best
+
+
+def _best_k(rows, criterion: str) -> int | None:
+    """select_best over ascending-k rows; None when no row defines R²."""
     if criterion == "rmse":
-        best_k, best_v = None, None
-        for k, rep in result.rows:
-            if best_v is None or rep.rmse < best_v:
-                best_k, best_v = k, rep.rmse
-        return best_k
-    if criterion == "r2":
-        best_k, best_v = None, None
-        for k, rep in result.rows:
-            if rep.r_squared is None:
-                continue
-            if best_v is None or rep.r_squared > best_v:
-                best_k, best_v = k, rep.r_squared
-        if best_k is None:
-            raise ValueError("R² is undefined for every k (constant test targets)")
-        return best_k
-    raise ValueError(f"unknown criterion {criterion!r}; use 'rmse' or 'r2'")
+        scores = [(rep.rmse, k) for k, rep in rows]
+    elif criterion == "r2":
+        scores = [(-rep.r_squared, k) for k, rep in rows if rep.r_squared is not None]
+    else:
+        raise ValueError(f"unknown criterion {criterion!r}; use 'rmse' or 'r2'")
+    return min(scores)[1] if scores else None
 
 
 def _fmt(x: float) -> str:

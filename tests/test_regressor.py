@@ -6,6 +6,9 @@ import pytest
 from knnsweep import (
     DistanceMetric,
     SchemaError,
+    SearchBackend,
+    SplitSpec,
+    SweepConfig,
     WeightingMode,
     ZeroRadiusError,
     apply_standardizer,
@@ -14,8 +17,12 @@ from knnsweep import (
     fit_standardizer,
     predict,
     predict_one,
+    report,
+    run_sweep,
+    split,
     unit_ball_volume,
 )
+from knnsweep.regressor import predict_prefixes
 
 from conftest import make_dataset
 
@@ -198,3 +205,50 @@ class TestDensity:
         model = fit(ds, k=10)
         values = [estimate_density(model, [q]).value for q in np.linspace(0.05, 0.95, 100)]
         assert 0.8 <= np.mean(values) <= 1.2
+
+
+class TestSubnormalDistance:
+    """Inverse weighting at subnormal distances, where 1/d or the sum of the
+    weights overflows to inf; the prediction must stay finite and within the
+    neighbors' target range, on the scalar and on the prefix-sum path."""
+
+    MANHATTAN = DistanceMetric.MANHATTAN
+    INVERSE = WeightingMode.INVERSE_DISTANCE
+
+    @pytest.mark.parametrize("xs, ys, q", [
+        ([0.0, 1.0], [0.0, 1.0], 5e-324),     # 1/d overflows
+        ([0.0, 2e-308], [1.0, 1.0], 1e-308),  # 1/d is finite, the sum of weights is not
+    ])
+    def test_scalar_and_prefix_paths_are_finite_and_in_range(self, xs, ys, q):
+        model = fit(make_dataset(xs, target=ys), k=2, metric=self.MANHATTAN,
+                    weighting=self.INVERSE)
+        pred = predict_one(model, [q])
+        assert math.isfinite(pred)
+        assert min(ys) <= pred <= max(ys)
+        ns = model.index.query([q], 2)
+        preds = predict_prefixes([model.train.target[ns.indices]], [ns.distances], self.INVERSE)
+        assert np.isfinite(preds).all()
+        assert repr(preds[0, 1].item()) == repr(pred)
+
+    def test_zero_distances_outrank_overflowing_weights(self):
+        ds = make_dataset([0.0, 5e-324, 1.0], target=[2.0, 4.0, 8.0])
+        model = fit(ds, k=3, metric=self.MANHATTAN, weighting=self.INVERSE)
+        assert predict_one(model, [0.0]) == 2.0
+        preds = predict_prefixes([[2.0, 4.0, 8.0]], [[0.0, 5e-324, 1.0]], self.INVERSE)
+        assert preds.tolist() == [[2.0, 2.0, 2.0]]
+
+    def test_sweep_is_finite_and_matches_refits(self):
+        data = make_dataset([0.0, 1.0, 5e-324], target=[0.0, 1.0, 0.5])
+        # a seed whose split leaves the subnormal row as the only test row
+        spec = next(s for s in (SplitSpec(train_fraction=0.67, seed=seed) for seed in range(100))
+                    if split(data, s)[1].features[0, 0] == 5e-324)
+        config = SweepConfig(k_min=1, k_max=2, metric=self.MANHATTAN, weighting=self.INVERSE,
+                             backend=SearchBackend.BRUTE_FORCE, split=spec, standardize=False)
+        result = run_sweep(data, config)
+        train, test = split(data, spec)
+        for k, rep in result.rows:
+            model = fit(train, k, self.MANHATTAN, self.INVERSE, SearchBackend.BRUTE_FORCE)
+            preds = predict(model, test)
+            assert np.isfinite(preds).all()
+            assert ((0.0 <= preds) & (preds <= 1.0)).all()
+            assert repr(rep) == repr(report(test.target, preds))
