@@ -15,13 +15,7 @@ from pathlib import Path
 from .dataset import SplitSpec, fit_standardizer, load_csv, load_features_csv
 from .distance import DistanceMetric
 from .neighbors import SearchBackend
-from .regressor import (
-    WeightingMode,
-    ZeroRadiusError,
-    estimate_density,
-    fit,
-    predict,
-)
+from .regressor import WeightingMode, estimate_densities, fit, predict
 from .sweep import SweepConfig, emit_chart, emit_table, run_sweep
 
 _METRICS = {
@@ -120,18 +114,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_sweep(args) -> int:
-    data = load_csv(args.data, args.target, args.categorical)
-    config = SweepConfig(
-        k_min=args.k_min,
-        k_max=args.k_max,
+def _sweep_config(args, k_min: int, k_max: int) -> SweepConfig:
+    return SweepConfig(
+        k_min=k_min,
+        k_max=k_max,
         metric=_METRICS[args.metric],
         weighting=_WEIGHTINGS[args.weighting],
         backend=_BACKENDS[args.backend],
         split=SplitSpec(train_fraction=args.split, seed=args.seed),
         standardize=not args.no_standardize,
     )
-    result = run_sweep(data, config)
+
+
+def cmd_sweep(args) -> int:
+    data = load_csv(args.data, args.target, args.categorical)
+    result = run_sweep(data, _sweep_config(args, args.k_min, args.k_max))
     emit_table(result, args.out_table)
     if args.plot_rmse:
         emit_chart(result, "rmse", args.plot_rmse, title="RMSE over k")
@@ -149,16 +146,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     data = load_csv(args.data, args.target, args.categorical)
-    config = SweepConfig(
-        k_min=args.k,
-        k_max=args.k,
-        metric=_METRICS[args.metric],
-        weighting=_WEIGHTINGS[args.weighting],
-        backend=_BACKENDS[args.backend],
-        split=SplitSpec(train_fraction=args.split, seed=args.seed),
-        standardize=not args.no_standardize,
-    )
-    result = run_sweep(data, config)
+    result = run_sweep(data, _sweep_config(args, args.k, args.k))
     print(json.dumps(result.rows[0][1].as_dict()))
     return 0
 
@@ -191,12 +179,8 @@ def cmd_density(args) -> int:
     if queries.column_names != train.column_names:
         raise ValueError("query columns do not match the training columns")
     lines = ["row_index,density"]
-    for i in range(queries.n_rows):
-        try:
-            est = estimate_density(model, queries.features[i])
-            lines.append(f"{i},{est.value:.17g}")
-        except ZeroRadiusError:
-            lines.append(f"{i},inf")
+    densities = estimate_densities(model, queries)
+    lines.extend(f"{i},{v:.17g}" for i, v in enumerate(densities.tolist()))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 

@@ -118,12 +118,9 @@ class SplitSpec:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-def _parse_rows(path, target_column, categorical_columns):
-    """Shared CSV body parser. target_column=None loads a feature-only file.
-
-    Returns (names, kinds, feature_columns, target_values) where
-    feature_columns is a list of per-column float lists.
-    """
+def _read_dataset(path, target_column, categorical_columns) -> Dataset:
+    """Shared CSV parser. target_column=None loads a feature-only file,
+    whose target is all zeros."""
     categorical = set(categorical_columns)
     if target_column is not None and target_column in categorical:
         raise CsvFormatError(
@@ -182,7 +179,15 @@ def _parse_rows(path, target_column, categorical_columns):
             n_rows += 1
         if n_rows == 0:
             raise CsvFormatError(f"{path}: no data rows after the header")
-    return tuple(feature_names), kinds, columns, target_values
+    features = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+    if target_column is None:
+        target_values = np.zeros(n_rows)
+    return Dataset(
+        features=features,
+        target=np.asarray(target_values, dtype=np.float64),
+        column_kinds=kinds,
+        column_names=tuple(feature_names),
+    )
 
 
 def _parse_real(path, row_no, name, cell) -> float:
@@ -207,16 +212,7 @@ def load_csv(path, target_column: str, categorical_columns=()) -> Dataset:
     integer codes in first-appearance order. Missing and non-finite cells
     are rejected with the offending row and column named.
     """
-    names, kinds, columns, target_values = _parse_rows(
-        path, target_column, categorical_columns
-    )
-    features = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-    return Dataset(
-        features=features,
-        target=np.asarray(target_values, dtype=np.float64),
-        column_kinds=kinds,
-        column_names=names,
-    )
+    return _read_dataset(path, target_column, categorical_columns)
 
 
 def load_features_csv(path, categorical_columns=()) -> Dataset:
@@ -224,14 +220,7 @@ def load_features_csv(path, categorical_columns=()) -> Dataset:
 
     Used for query files, which carry feature columns only.
     """
-    names, kinds, columns, _ = _parse_rows(path, None, categorical_columns)
-    features = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-    return Dataset(
-        features=features,
-        target=np.zeros(features.shape[0], dtype=np.float64),
-        column_kinds=kinds,
-        column_names=names,
-    )
+    return _read_dataset(path, None, categorical_columns)
 
 
 def write_csv(data: Dataset, path, target_name: str = "target") -> None:
@@ -301,19 +290,24 @@ class Standardizer:
         object.__setattr__(self, "column_names", tuple(self.column_names))
         object.__setattr__(self, "column_kinds", tuple(self.column_kinds))
 
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        """Apply the fitted transform to a raw (m, d) feature matrix; returns a copy."""
+        out = np.array(features, dtype=np.float64)
+        for j, kind in enumerate(self.column_kinds):
+            if kind is ColumnKind.NUMERIC:
+                sd = self.sds[j]
+                out[:, j] = 0.0 if sd == 0.0 else (out[:, j] - self.means[j]) / sd
+        return out
+
     def transform_vector(self, q: np.ndarray) -> np.ndarray:
-        """Apply the fitted transform to one raw feature vector."""
+        """Apply the fitted transform to one raw feature vector: the one-row
+        case of :meth:`transform`."""
         q = np.asarray(q, dtype=np.float64)
         if q.ndim != 1 or q.shape[0] != len(self.column_names):
             raise SchemaError(
                 f"vector has {q.shape} entries, expected {len(self.column_names)}"
             )
-        out = q.astype(np.float64, copy=True)
-        for j, kind in enumerate(self.column_kinds):
-            if kind is ColumnKind.NUMERIC:
-                sd = self.sds[j]
-                out[j] = 0.0 if sd == 0.0 else (out[j] - self.means[j]) / sd
-        return out
+        return self.transform(q[None, :])[0]
 
 
 def fit_standardizer(train: Dataset) -> Standardizer:
@@ -339,16 +333,8 @@ def apply_standardizer(s: Standardizer, data: Dataset) -> Dataset:
     """Transform numeric columns to (value - mean) / sd; everything else unchanged."""
     if data.column_names != s.column_names or data.column_kinds != s.column_kinds:
         raise SchemaError("dataset schema does not match the fitted standardizer")
-    out = data.features.copy()
-    for j, kind in enumerate(s.column_kinds):
-        if kind is ColumnKind.NUMERIC:
-            sd = s.sds[j]
-            if sd == 0.0:
-                out[:, j] = 0.0
-            else:
-                out[:, j] = (out[:, j] - s.means[j]) / sd
     return Dataset(
-        features=out,
+        features=s.transform(data.features),
         target=data.target,
         column_kinds=data.column_kinds,
         column_names=data.column_names,

@@ -126,17 +126,20 @@ def report(y, yhat) -> MetricReport:
     """Compute every metric once, consistently with the scalar operations."""
     ylist, yhatlist = _check_pair(y, yhat)
     n = len(ylist)
-    sse_v = sse(ylist, yhatlist)
-    mse_v = sse_v / n
     ybar = _sum(ylist) / n
-    sst_v = sst(ylist, ybar)
+    return _from_sums(n, sse(ylist, yhatlist), ssr(yhatlist, ybar), sst(ylist, ybar))
+
+
+def _from_sums(n: int, sse_v: float, ssr_v: float, sst_v: float) -> MetricReport:
+    """The report for n rows with the given sums of squares."""
+    mse_v = sse_v / n
     return MetricReport(
         n=n,
         sse=sse_v,
         mse=mse_v,
         rmse=math.sqrt(mse_v),
         r_squared=None if sst_v == 0.0 else 1.0 - sse_v / sst_v,
-        ssr=ssr(yhatlist, ybar),
+        ssr=ssr_v,
         sst=sst_v,
     )
 
@@ -166,16 +169,4 @@ def report_columns(y, yhat) -> list[MetricReport]:
     sse_cols = np.add.accumulate(resid * resid, axis=0)[-1].tolist()
     dev = preds - ybar
     ssr_cols = np.add.accumulate(dev * dev, axis=0)[-1].tolist()
-    reports = []
-    for sse_v, ssr_v in zip(sse_cols, ssr_cols):
-        mse_v = sse_v / n
-        reports.append(MetricReport(
-            n=n,
-            sse=sse_v,
-            mse=mse_v,
-            rmse=math.sqrt(mse_v),
-            r_squared=None if sst_v == 0.0 else 1.0 - sse_v / sst_v,
-            ssr=ssr_v,
-            sst=sst_v,
-        ))
-    return reports
+    return [_from_sums(n, sse_v, ssr_v, sst_v) for sse_v, ssr_v in zip(sse_cols, ssr_cols)]

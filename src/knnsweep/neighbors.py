@@ -27,10 +27,13 @@ class SearchBackend(Enum):
 
 @dataclass(frozen=True)
 class NeighborSet:
-    """min(k, n) training rows nearest to a query.
+    """min(k, n) training rows nearest to each query.
 
-    ``distances`` is sorted non-decreasing; ties are broken by ascending
-    training-row index, so the result is unique.
+    For a ``(d,)`` query vector both arrays have shape ``(min(k, n),)``;
+    for an ``(m, d)`` query matrix they have shape ``(m, min(k, n))``, one
+    row per query row, and ``len`` is m. Along the last axis ``distances``
+    is sorted non-decreasing; ties are broken by ascending training-row
+    index, so the result is unique.
     """
 
     indices: np.ndarray
@@ -76,9 +79,11 @@ class _IndexBase:
     def dim(self) -> int:
         return self._points.shape[1]
 
-    def _check_query(self, q) -> np.ndarray:
+    def check_query(self, q, vector_only: bool = False) -> np.ndarray:
+        """``q`` as float64: a vector of length dim or, unless
+        ``vector_only``, a matrix of such rows; ValueError otherwise."""
         arr = np.asarray(q, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] != self.dim:
+        if arr.ndim not in ((1,) if vector_only else (1, 2)) or arr.shape[-1] != self.dim:
             raise ValueError(
                 f"query has shape {arr.shape}, expected a vector of length {self.dim}"
             )
@@ -89,19 +94,32 @@ class _IndexBase:
         return arr
 
     def query(self, q, k: int) -> NeighborSet:
-        """The min(k, n) nearest rows under the index metric."""
-        arr = self._check_query(q)
+        """The min(k, n) nearest rows under the index metric, for a ``(d,)``
+        vector or for every row of an ``(m, d)`` matrix (the
+        ``scipy.spatial.cKDTree.query`` convention). The result arrays have
+        shape ``q.shape[:-1] + (min(k, n),)``.
+        """
+        arr = self.check_query(q)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        indices, internal = self._search(arr, min(k, self.n_points))
-        distances = np.sqrt(internal) if self.metric is DistanceMetric.EUCLIDEAN else internal
-        return NeighborSet(indices=indices, distances=distances)
+        k = min(k, self.n_points)
+        rows = arr.reshape(-1, self.dim)
+        indices = np.empty((rows.shape[0], k), dtype=np.int64)
+        distances = np.empty((rows.shape[0], k), dtype=np.float64)
+        with np.errstate(over="ignore"):  # squared distances past float range are inf
+            for i, row in enumerate(rows):
+                indices[i], distances[i] = self._search(row, k)
+        if self.metric is DistanceMetric.EUCLIDEAN:
+            np.sqrt(distances, out=distances)  # _search ranks squared distances
+        shape = arr.shape[:-1] + (k,)
+        return NeighborSet(indices=indices.reshape(shape), distances=distances.reshape(shape))
 
     def kth_distance(self, q, k: int) -> float:
-        """Distance to the k-th nearest neighbor (requires k <= n)."""
+        """Distance from one query vector to its k-th nearest neighbor
+        (requires k <= n)."""
         if k > self.n_points:
             raise ValueError(f"k={k} exceeds the {self.n_points} indexed rows")
-        return float(self.query(q, k).distances[-1])
+        return float(self.query(self.check_query(q, vector_only=True), k).distances[-1])
 
     def _search(self, q: np.ndarray, k: int):
         raise NotImplementedError
@@ -215,7 +233,7 @@ def build_index(train: Dataset, metric: DistanceMetric, backend: SearchBackend):
 
 
 def query(index, q, k: int) -> NeighborSet:
-    """Functional form of ``index.query``."""
+    """Functional form of ``index.query``: a query vector or matrix."""
     return index.query(q, k)
 
 

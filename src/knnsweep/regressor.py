@@ -24,6 +24,9 @@ class ZeroRadiusError(ValueError):
     """The k-th neighbor distance is zero, so the density is unbounded."""
 
 
+_INF_DISTANCES = "neighbor distances overflowed to inf; inverse-distance weights are undefined"
+
+
 class WeightingMode(Enum):
     UNIFORM = "uniform"
     INVERSE_DISTANCE = "inverse_distance"
@@ -89,6 +92,8 @@ def predict_from_neighbors(targets, distances, weighting: WeightingMode) -> floa
     weighted mean is not finite because 1/d or a sum overflowed (subnormal
     distances), it is recomputed with weights min(d)/d, which is the same
     mean in exact arithmetic and cannot overflow through the weights.
+    When every distance is inf (squared euclidean distances overflowed),
+    no weight is defined and inverse weighting raises ValueError.
     """
     targets = list(targets)
     distances = list(distances)
@@ -97,6 +102,8 @@ def predict_from_neighbors(targets, distances, weighting: WeightingMode) -> floa
     exact = [t for t, d in zip(targets, distances) if d == 0.0]
     if exact:
         return _mean(exact)
+    if min(distances) == math.inf:
+        raise ValueError(_INF_DISTANCES)
     pred = _weighted_mean(targets, distances, 1.0)
     if not math.isfinite(pred):
         pred = _weighted_mean(targets, distances, min(distances))
@@ -163,20 +170,35 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
 
 
 def predict_one(model: KnnModel, q) -> float:
-    """Predict the target for one raw feature vector."""
-    arr = np.asarray(q, dtype=np.float64)
-    if model.standardizer is not None:
-        arr = model.standardizer.transform_vector(arr)
-    ns = model.index.query(arr, model.k)
-    return predict_from_neighbors(
-        model.train.target[ns.indices].tolist(),
-        ns.distances.tolist(),
-        model.weighting,
-    )
+    """Predict the target for one raw feature vector: predict's one-row case."""
+    return _predict_rows(model, _model_vector(model, q)[None, :])[0].item()
 
 
 def predict(model: KnnModel, queries: Dataset) -> np.ndarray:
-    """Element-wise predict_one over the query rows, in row order."""
+    """Predict every query row, in row order, from one neighbor query."""
+    return _predict_rows(model, _model_features(model, queries))
+
+
+def _predict_rows(model: KnnModel, features: np.ndarray) -> np.ndarray:
+    """Predictions for an (m, d) matrix in model feature space."""
+    ns = model.index.query(features, model.k)
+    inverse = model.weighting is WeightingMode.INVERSE_DISTANCE
+    if inverse and np.any(ns.distances[:, 0] == np.inf):
+        raise ValueError(_INF_DISTANCES)
+    targets = model.train.target[ns.indices]
+    return predict_prefixes(targets, ns.distances, model.weighting)[:, -1]
+
+
+def _model_vector(model: KnnModel, q) -> np.ndarray:
+    """One raw feature vector in model feature space; rejects anything else."""
+    arr = np.asarray(q, dtype=np.float64)
+    if model.standardizer is not None:
+        arr = model.standardizer.transform_vector(arr)
+    return model.index.check_query(arr, vector_only=True)
+
+
+def _model_features(model: KnnModel, queries: Dataset) -> np.ndarray:
+    """The query rows' features in model feature space."""
     if (
         queries.column_names != model.train.column_names
         or queries.column_kinds != model.train.column_kinds
@@ -184,15 +206,7 @@ def predict(model: KnnModel, queries: Dataset) -> np.ndarray:
         raise SchemaError("query schema does not match the model's training schema")
     if model.standardizer is not None:
         queries = apply_standardizer(model.standardizer, queries)
-    out = np.empty(queries.n_rows, dtype=np.float64)
-    for i in range(queries.n_rows):
-        ns = model.index.query(queries.features[i], model.k)
-        out[i] = predict_from_neighbors(
-            model.train.target[ns.indices].tolist(),
-            ns.distances.tolist(),
-            model.weighting,
-        )
-    return out
+    return queries.features
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -203,22 +217,40 @@ def unit_ball_volume(dim: int) -> float:
 
 
 def estimate_density(model: KnnModel, q) -> DensityEstimate:
-    """k-neighbor density estimate k / (n * V) at the query point.
+    """k-neighbor density estimate k / (n * V) at one query vector.
 
     V is the euclidean d-ball whose radius reaches the k-th neighbor.
     A zero radius (query sitting on enough training points) is reported
-    as :class:`ZeroRadiusError` rather than as an infinite number.
+    as :class:`ZeroRadiusError` rather than as an infinite number. Where
+    V leaves float range at a nonzero radius, the estimate takes the IEEE
+    limit: inf when V underflows to 0, and 0.0 when V overflows.
     """
     if model.metric is not DistanceMetric.EUCLIDEAN:
         raise ValueError("density estimation requires the euclidean metric")
-    arr = np.asarray(q, dtype=np.float64)
-    if model.standardizer is not None:
-        arr = model.standardizer.transform_vector(arr)
-    radius = model.index.kth_distance(arr, model.k)
+    radius = model.index.kth_distance(_model_vector(model, q), model.k)
     if radius == 0.0:
         raise ZeroRadiusError(
             "k-th neighbor distance is zero; the density estimate is unbounded here"
         )
+    return DensityEstimate(value=_density(model, radius))
+
+
+def estimate_densities(model: KnnModel, queries: Dataset) -> np.ndarray:
+    """estimate_density at every query row, in row order, from one neighbor
+    query; a zero radius gives inf instead of ZeroRadiusError."""
+    if model.metric is not DistanceMetric.EUCLIDEAN:
+        raise ValueError("density estimation requires the euclidean metric")
+    ns = model.index.query(_model_features(model, queries), model.k)
+    return np.array([_density(model, r) for r in ns.distances[:, -1].tolist()])
+
+
+def _density(model: KnnModel, radius: float) -> float:
+    """k / (n * V) at k-th neighbor distance ``radius``, in Python floats;
+    inf where V is 0 (zero radius or underflow), 0.0 where it overflows."""
     dim = model.train.n_columns
-    volume = unit_ball_volume(dim) * radius**dim
-    return DensityEstimate(value=model.k / (model.train.n_rows * volume))
+    unit = unit_ball_volume(dim)
+    try:
+        volume = unit * radius**dim
+    except OverflowError:
+        return 0.0
+    return math.inf if volume == 0.0 else model.k / (model.train.n_rows * volume)

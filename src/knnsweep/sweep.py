@@ -1,12 +1,13 @@
 """The core experiment: evaluate the regressor for every k in a range.
 
-One split and one neighbor index serve every k: each test row is queried
-once at k_max and the per-k predictions are taken from prefixes of the
-(distance, index)-ordered neighbor lists, which is exactly what a per-k
-refit would return. Every k is evaluated in one pass, with no per-k loop
-or thread pool: running sums along the neighbor lists give all the
-predictions (regressor.predict_prefixes) and running sums down the test
-rows give all the metrics (metrics.report_columns). Both add left to
+One split and one neighbor index serve every k: a single index query
+returns the k_max nearest training rows of every test row, and the per-k
+predictions are taken from prefixes of these (distance, index)-ordered
+neighbor lists, which is exactly what a per-k refit would return. Every
+k is evaluated in one pass, with no per-k loop or thread pool: running
+sums along the neighbor lists give all the predictions
+(regressor.predict_prefixes) and running sums down the test rows give all
+the metrics (metrics.report_columns). Both add left to
 right like the scalar code, so each row equals a per-k refit bit for bit.
 """
 
@@ -17,8 +18,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
-
-import numpy as np
 
 from .dataset import Dataset, SplitSpec, apply_standardizer, fit_standardizer, split
 from .distance import DistanceMetric
@@ -87,14 +86,9 @@ def run_sweep(data: Dataset, config: SweepConfig) -> SweepResult:
             f"left by the split"
         )
     index = build_index(train, config.metric, config.backend)
-    neighbor_rows = np.empty((test.n_rows, config.k_max), dtype=np.int64)
-    neighbor_dists = np.empty((test.n_rows, config.k_max), dtype=np.float64)
-    for i in range(test.n_rows):
-        ns = index.query(test.features[i], config.k_max)
-        neighbor_rows[i] = ns.indices
-        neighbor_dists[i] = ns.distances
+    ns = index.query(test.features, config.k_max)
     _thread_count()  # a bad KNN_SWEEP_THREADS fails every sweep; no stage uses the count
-    preds = predict_prefixes(train.target[neighbor_rows], neighbor_dists, config.weighting)
+    preds = predict_prefixes(train.target[ns.indices], ns.distances, config.weighting)
     reports = report_columns(test.target, preds[:, config.k_min - 1:])
     rows = tuple(zip(range(config.k_min, config.k_max + 1), reports))
     return SweepResult(rows=rows, best_k_rmse=_best_k(rows, "rmse"),

@@ -271,3 +271,29 @@ class TestHelp:
         assert proc.returncode == 0
         for flag in flags:
             assert flag in proc.stdout
+
+
+class TestOverflowLimits:
+    def test_inf_distances_with_inverse_weighting_is_one_error_line(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_text("x,y\n1e200,1\n-1e200,2\n")
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x\n0\n")
+        proc = run_cli(
+            "predict", "--train", train, "--query", qpath, "--target", "y", "--k", "2",
+            "--weighting", "inverse", "--no-standardize", "--out", tmp_path / "p.csv",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "overflowed to inf" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("x, expected", [("1e-150", "0,inf"), ("1e150", "0,0")])
+    def test_density_ball_volume_out_of_float_range(self, tmp_path, x, expected):
+        train = tmp_path / "train.csv"
+        train.write_text(f"a,b,c\n0,0,0\n{x},0,0\n")
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("a,b,c\n0,0,0\n")
+        out = tmp_path / "d.csv"
+        proc = run_cli("density", "--train", train, "--query", qpath, "--k", "2", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().splitlines() == ["row_index,density", expected]

@@ -203,3 +203,34 @@ class TestBackendEquivalence:
                     ns = query(build_index(ds, metric, backend), q, k)
                     assert ns.indices.tolist() == expect_idx
                     assert ns.distances.tolist() == expect_dist
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestMatrixQuery:
+    def test_result_shape_follows_the_query(self, backend):
+        rng = np.random.Generator(np.random.PCG64(7))
+        idx = build_index(make_dataset(rng.normal(0, 1, (9, 2))), DistanceMetric.EUCLIDEAN,
+                          backend)
+        assert query(idx, rng.normal(0, 1, 2), 4).indices.shape == (4,)
+        ns = query(idx, rng.normal(0, 1, (5, 2)), 4)
+        assert ns.indices.shape == ns.distances.shape == (5, 4)
+        assert len(ns) == 5
+        assert query(idx, rng.normal(0, 1, (3, 2)), 20).indices.shape == (3, 9)
+
+    def test_empty_query_matrix(self, backend):
+        idx = build_index(make_dataset([0.0, 1.0]), DistanceMetric.EUCLIDEAN, backend)
+        ns = query(idx, np.zeros((0, 1)), 2)
+        assert ns.indices.shape == ns.distances.shape == (0, 2)
+        assert ns.indices.dtype == np.int64
+
+    def test_matrix_width_mismatch(self, backend):
+        idx = build_index(make_dataset([[0.0, 0.0]]), DistanceMetric.EUCLIDEAN, backend)
+        with pytest.raises(ValueError, match="length 2"):
+            query(idx, [[1.0, 2.0, 3.0]], 1)
+        with pytest.raises(ValueError, match="length 2"):
+            query(idx, np.zeros((1, 1, 2)), 1)
+
+    def test_any_non_finite_row_is_rejected(self, backend):
+        idx = build_index(make_dataset([0.0, 1.0]), DistanceMetric.EUCLIDEAN, backend)
+        with pytest.raises(ValueError, match="NaN"):
+            query(idx, [[0.5], [np.nan]], 1)

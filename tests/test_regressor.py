@@ -12,11 +12,14 @@ from knnsweep import (
     WeightingMode,
     ZeroRadiusError,
     apply_standardizer,
+    estimate_densities,
     estimate_density,
     fit,
     fit_standardizer,
     predict,
+    predict_from_neighbors,
     predict_one,
+    query_radius_of_kth,
     report,
     run_sweep,
     split,
@@ -252,3 +255,63 @@ class TestSubnormalDistance:
             assert np.isfinite(preds).all()
             assert ((0.0 <= preds) & (preds <= 1.0)).all()
             assert repr(rep) == repr(report(test.target, preds))
+
+
+class TestOverflowLimits:
+    """Euclidean distances and ball volumes that leave float range give a
+    typed error or an IEEE limit, never ZeroDivisionError or OverflowError."""
+
+    INVERSE = WeightingMode.INVERSE_DISTANCE
+
+    def test_inf_distances_with_inverse_weighting_are_a_value_error(self):
+        # (1e200 - 0)**2 overflows, so both neighbor distances are inf
+        model = fit(make_dataset([1e200, -1e200], target=[1.0, 2.0]), k=2,
+                    weighting=self.INVERSE)
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            predict_one(model, [0.0])
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            predict(model, make_dataset([[0.0], [1e200]]))
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            predict_from_neighbors([1.0, 2.0], [math.inf, math.inf], self.INVERSE)
+
+    def test_inf_distances_with_uniform_weighting_still_average(self):
+        model = fit(make_dataset([1e200, -1e200], target=[1.0, 2.0]), k=2)
+        assert predict_one(model, [0.0]) == 1.5
+        assert predict(model, make_dataset([0.0])).tolist() == [1.5]
+
+    @pytest.mark.parametrize("x, expected", [
+        (1e-150, math.inf),  # radius**3 underflows to 0 at a nonzero radius
+        (1e150, 0.0),        # radius**3 overflows
+    ])
+    def test_ball_volume_out_of_float_range(self, x, expected):
+        model = fit(make_dataset([[0.0, 0.0, 0.0], [x, 0.0, 0.0]]), k=2)
+        assert estimate_density(model, [0.0, 0.0, 0.0]).value == expected
+        assert estimate_densities(model, make_dataset([[0.0, 0.0, 0.0]])).tolist() == [expected]
+
+
+class TestQueryMatrices:
+    def test_densities_match_scalar_estimates(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        ds = make_dataset(rng.uniform(0, 1, (40, 2)))
+        queries = np.vstack([ds.features[:3], rng.uniform(0, 1, (5, 2))])
+        model = fit(ds, k=1)
+        got = estimate_densities(model, make_dataset(queries)).tolist()
+        assert got[:3] == [math.inf] * 3  # zero radius
+        assert got[3:] == [estimate_density(model, q).value for q in queries[3:]]
+
+    def test_densities_require_euclidean(self):
+        model = fit(make_dataset([0.0, 1.0]), k=1, metric=DistanceMetric.MANHATTAN)
+        with pytest.raises(ValueError, match="euclidean"):
+            estimate_densities(model, make_dataset([0.5]))
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_single_vector_functions_reject_matrices(self, scaled):
+        ds = make_dataset([0.0, 1.0, 2.0], target=[1.0, 2.0, 3.0])
+        model = fit(ds, k=1, standardizer=fit_standardizer(ds) if scaled else None)
+        matrix = [[0.0], [1.0]]
+        with pytest.raises(ValueError):
+            predict_one(model, matrix)
+        with pytest.raises(ValueError):
+            estimate_density(model, matrix)
+        with pytest.raises(ValueError):
+            query_radius_of_kth(model.index, matrix, 1)
