@@ -310,6 +310,17 @@ class Standardizer:
         return self.transform(q[None, :])[0]
 
 
+def _column_stat(stat, col: np.ndarray) -> float:
+    """``stat(col)``; where that overflows (sd squares values above about
+    1e154 past float range), ``stat(col / s) * s`` with s = max |col|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(stat(col))
+    if np.isfinite(value):
+        return value
+    scale = float(np.max(np.abs(col)))
+    return float(stat(col / scale)) * scale
+
+
 def fit_standardizer(train: Dataset) -> Standardizer:
     """Fit per-column mean/sd (population sd) on the numeric training columns."""
     if train.n_rows == 0:
@@ -319,8 +330,8 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     for j, kind in enumerate(train.column_kinds):
         if kind is ColumnKind.NUMERIC:
             col = train.features[:, j]
-            means[j] = float(np.mean(col))
-            sds[j] = float(np.std(col))
+            means[j] = _column_stat(np.mean, col)
+            sds[j] = _column_stat(np.std, col)
     return Standardizer(
         column_names=train.column_names,
         column_kinds=train.column_kinds,

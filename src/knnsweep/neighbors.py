@@ -18,6 +18,8 @@ from .dataset import ColumnKind, Dataset
 from .distance import DistanceMetric
 
 _LEAF_SIZE = 16
+# Byte cap on each (block x n) buffer of the blocked brute-force kernel.
+_BLOCK_BYTES = 1 << 20
 
 
 class SearchBackend(Enum):
@@ -65,7 +67,8 @@ def _point_distances(points: np.ndarray, q: np.ndarray, metric: DistanceMetric) 
 
 
 class _IndexBase:
-    """Shared query plumbing; subclasses implement _search."""
+    """Shared query plumbing; subclasses implement _search and may replace
+    the row loop of _search_rows."""
 
     def __init__(self, points: np.ndarray, metric: DistanceMetric):
         self._points = points
@@ -104,13 +107,10 @@ class _IndexBase:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, self.n_points)
         rows = arr.reshape(-1, self.dim)
-        indices = np.empty((rows.shape[0], k), dtype=np.int64)
-        distances = np.empty((rows.shape[0], k), dtype=np.float64)
         with np.errstate(over="ignore"):  # squared distances past float range are inf
-            for i, row in enumerate(rows):
-                indices[i], distances[i] = self._search(row, k)
+            indices, distances = self._search_rows(rows, k)
         if self.metric is DistanceMetric.EUCLIDEAN:
-            np.sqrt(distances, out=distances)  # _search ranks squared distances
+            np.sqrt(distances, out=distances)  # the search ranks squared distances
         shape = arr.shape[:-1] + (k,)
         return NeighborSet(indices=indices.reshape(shape), distances=distances.reshape(shape))
 
@@ -121,17 +121,88 @@ class _IndexBase:
             raise ValueError(f"k={k} exceeds the {self.n_points} indexed rows")
         return float(self.query(self.check_query(q, vector_only=True), k).distances[-1])
 
+    def _search_rows(self, rows: np.ndarray, k: int):
+        """(indices, internal distances), each (m, k), for the (m, d) query
+        ``rows``; k <= n. The default runs _search on one row at a time."""
+        indices = np.empty((rows.shape[0], k), dtype=np.int64)
+        distances = np.empty((rows.shape[0], k), dtype=np.float64)
+        for i, row in enumerate(rows):
+            indices[i], distances[i] = self._search(row, k)
+        return indices, distances
+
     def _search(self, q: np.ndarray, k: int):
         raise NotImplementedError
 
 
 class BruteForceIndex(_IndexBase):
-    """Reference backend: one vectorized scan over all rows per query."""
+    """Reference backend: an exact scan over every training row.
+
+    ``query`` runs a blocked kernel over B = max(1, 1 MiB // (8 n)) query
+    rows at a time. Each block is one (B, n) distance matrix, accumulated
+    coordinate by coordinate in the same IEEE steps as
+    :func:`_point_distances`, so the result is bit-identical to the per-row
+    scan ``_search``, which stays as the reference. Besides a (d, n)
+    column-major copy of the training rows made per call, the working set
+    is two float64 (B, n) buffers and one bool (B, n) mask, reused across
+    blocks. The kernel runs on the calling thread only.
+    """
 
     def _search(self, q, k):
         internal = _point_distances(self._points, q, self.metric)
         order = np.argsort(internal, kind="stable")[:k].astype(np.int64)
         return order, internal[order]
+
+    def _search_rows(self, rows, k):
+        m, n = rows.shape[0], self.n_points
+        block = max(1, _BLOCK_BYTES // (8 * n))
+        indices = np.empty((m, k), dtype=np.int64)
+        distances = np.empty((m, k), dtype=np.float64)
+        acc = np.empty((min(block, m), n), dtype=np.float64)
+        scratch = np.empty_like(acc)
+        mask = np.empty(acc.shape, dtype=bool)
+        first_k = np.arange(k)
+        columns = np.ascontiguousarray(self._points.T)
+        for start in range(0, m, block):
+            q = rows[start:start + block]
+            b = q.shape[0]
+            dist, work, keep = acc[:b], scratch[:b], mask[:b]
+            self._block_distances(columns, q, dist, work, keep)
+            # Every entry at or below its row's k-th smallest value is a
+            # candidate; sorting them on (row, distance, column) and taking
+            # the first k of each row is the (distance, row index) order.
+            if k == n:
+                keep.fill(True)
+            else:
+                np.copyto(work, dist)
+                work.partition(k - 1, axis=1)
+                np.less_equal(dist, work[:, k - 1:k], out=keep)
+            flat = np.flatnonzero(keep)
+            row, col = np.divmod(flat, n)
+            cand = np.take(dist, flat)
+            order = np.lexsort((col, cand, row))
+            counts = np.bincount(row, minlength=b)
+            take = order[((np.cumsum(counts) - counts)[:, None] + first_k).ravel()]
+            indices[start:start + b] = col[take].reshape(b, k)
+            distances[start:start + b] = cand[take].reshape(b, k)
+        return indices, distances
+
+    def _block_distances(self, columns, q, dist, work, keep):
+        """Fill ``dist[i, r]`` with the internal distance from query ``q[i]``
+        to training row r, element for element the ops of _point_distances;
+        ``work`` and ``keep`` are scratch."""
+        dist.fill(0.0)
+        for j in range(self.dim):
+            column, coord = columns[j], q[:, j:j + 1]
+            if self.metric is DistanceMetric.HAMMING:
+                np.not_equal(column, coord, out=keep)
+                dist += keep  # mismatch counts are exact in float64
+                continue
+            np.subtract(column, coord, out=work)
+            if self.metric is DistanceMetric.EUCLIDEAN:
+                np.multiply(work, work, out=work)
+            else:
+                np.abs(work, out=work)
+            dist += work
 
 
 class _KdNode:

@@ -210,10 +210,17 @@ def _model_features(model: KnnModel, queries: Dataset) -> np.ndarray:
 
 
 def unit_ball_volume(dim: int) -> float:
-    """Volume of the euclidean unit ball in ``dim`` dimensions."""
+    """Volume of the euclidean unit ball in ``dim`` dimensions.
+
+    From 342 dimensions on, gamma(d/2 + 1) overflows a float although the
+    volume does not; there it is taken in log space.
+    """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    try:
+        return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    except OverflowError:
+        return math.exp(dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0))
 
 
 def estimate_density(model: KnnModel, q) -> DensityEstimate:

@@ -1,0 +1,101 @@
+"""Property tests for the blocked brute-force kernel behind ``query``.
+
+``BruteForceIndex.query(Q, k)`` scans B query rows per block. With the
+block byte cap patched so that B is 1, 2 or 3 rows and the query count m
+not a multiple of B, every case crosses block edges. Each result must equal,
+byte for byte, the per-row reference scan ``BruteForceIndex._search`` and,
+for euclidean and manhattan, the kd-tree. Inputs come from small grids so
+that duplicated rows and mass distance ties occur, mixed with arbitrary
+floats whose sums round, along with n = 1, k = n, subnormal coordinates,
+squared distances that all overflow to inf, and hamming codes.
+Derandomized and capped at a few examples per case.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from knnsweep import neighbors
+from knnsweep.distance import DistanceMetric
+from knnsweep.neighbors import BruteForceIndex, KdTreeIndex
+
+PROPERTY_SETTINGS = settings(max_examples=10, derandomize=True, database=None, deadline=None)
+NUMERIC_METRICS = [DistanceMetric.EUCLIDEAN, DistanceMetric.MANHATTAN]
+
+
+@st.composite
+def kernel_cases(draw, categorical=False):
+    """(training points, query rows, k, rows per block) from a small pool."""
+    d = draw(st.integers(1, 4))
+    codes = (st.integers(0, 3) if categorical else
+             st.one_of(st.integers(-1, 2), st.floats(-3.0, 3.0, allow_nan=False)))
+    pool = draw(st.lists(st.lists(codes, min_size=d, max_size=d), min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    points = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                             min_size=n, max_size=n))]
+    block = draw(st.integers(1, 3))
+    # m is never a multiple of B (for B = 1, at least two blocks)
+    m = block * draw(st.integers(0, 3)) + draw(st.integers(1, max(1, block - 1)))
+    if block == 1:
+        m += 1
+    queries = draw(st.lists(st.one_of(st.sampled_from(points),
+                                      st.lists(codes, min_size=d, max_size=d)),
+                            min_size=m, max_size=m))
+    scale = 1.0 if categorical else draw(st.sampled_from([1.0, 0.37, 1e-308, 5e-324, 1e200]))
+    return (np.array(points, dtype=np.float64) * scale,
+            np.array(queries, dtype=np.float64) * scale,
+            draw(st.one_of(st.just(n), st.integers(1, n))), block)
+
+
+# Every squared distance overflows to inf, so all neighbors tie.
+PINNED_ALL_INF = (np.array([[1e200], [-1e200]]), np.array([[0.0], [3e200], [0.0]]), 2, 2)
+# n = 1 and k = n.
+PINNED_ONE_ROW = (np.array([[0.5, -1.0]]), np.array([[0.5, -1.0], [0.0, 0.0]]), 1, 1)
+# Mass ties: every training row equal, every query a copy or at one distance.
+PINNED_TIES = (np.zeros((7, 2)), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0],
+                                           [0.0, 0.0], [1.0, 1.0]]), 3, 3)
+# Subnormal coordinates, where euclidean squares underflow to 0.
+PINNED_SUBNORMAL = (np.array([[0, 0], [1, 0], [1, 0], [2, 1]]) * 5e-324,
+                    np.array([[1, 0], [0, 1], [2, 2], [1, 1]]) * 5e-324, 3, 3)
+
+
+def _query_blocked(index, queries, k, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_BLOCK_BYTES", 8 * index.n_points * block)
+        return index.query(queries, k)
+
+
+def _assert_equals_per_row_oracle(result, index, queries, k):
+    assert result.indices.shape == result.distances.shape == (len(queries), min(k, index.n_points))
+    for i, q in enumerate(queries):
+        with np.errstate(over="ignore"):
+            indices, internal = index._search(q, min(k, index.n_points))
+        distances = np.sqrt(internal) if index.metric is DistanceMetric.EUCLIDEAN else internal
+        assert result.indices[i].tobytes() == indices.tobytes()
+        assert result.distances[i].tobytes() == distances.tobytes()
+
+
+@pytest.mark.parametrize("metric", NUMERIC_METRICS)
+@PROPERTY_SETTINGS
+@given(case=kernel_cases())
+@example(case=PINNED_ALL_INF)
+@example(case=PINNED_ONE_ROW)
+@example(case=PINNED_TIES)
+@example(case=PINNED_SUBNORMAL)
+def test_blocked_kernel_equals_per_row_scan_and_kd_tree(case, metric):
+    points, queries, k, block = case
+    index = BruteForceIndex(points, metric)
+    result = _query_blocked(index, queries, k, block)
+    _assert_equals_per_row_oracle(result, index, queries, k)
+    tree = KdTreeIndex(points, metric).query(queries, k)
+    assert result.indices.tobytes() == tree.indices.tobytes()
+    assert result.distances.tobytes() == tree.distances.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(case=kernel_cases(categorical=True))
+def test_blocked_hamming_kernel_equals_per_row_scan(case):
+    points, queries, k, block = case
+    index = BruteForceIndex(points, DistanceMetric.HAMMING)
+    _assert_equals_per_row_oracle(_query_blocked(index, queries, k, block), index, queries, k)

@@ -297,3 +297,31 @@ class TestOverflowLimits:
         proc = run_cli("density", "--train", train, "--query", qpath, "--k", "2", "--out", out)
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().splitlines() == ["row_index,density", expected]
+
+
+class TestOverflowFallbacks:
+    def test_density_in_350_dimensions_writes_one_row(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(350))
+        header = ",".join(f"c{j}" for j in range(350))
+        train = tmp_path / "train.csv"
+        np.savetxt(train, rng.normal(size=(20, 350)), delimiter=",", header=header, comments="")
+        qpath = tmp_path / "q.csv"
+        np.savetxt(qpath, np.zeros((1, 350)), delimiter=",", header=header, comments="")
+        out = tmp_path / "d.csv"
+        proc = run_cli("density", "--train", train, "--query", qpath, "--k", "2", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        assert lines[0] == "row_index,density" and len(lines) == 2
+        assert lines[1].startswith("0,")
+
+    def test_standardizing_values_above_1e154_keeps_the_exact_match(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_text("x,y\n1e300,1\n-1e300,2\n5e299,3\n")
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x\n5e299\n")
+        out = tmp_path / "p.csv"
+        proc = run_cli("predict", "--train", train, "--query", qpath, "--target", "y",
+                       "--k", "1", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert out.read_text().splitlines() == ["row_index,prediction", "0,3"]

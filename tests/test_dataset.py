@@ -272,6 +272,14 @@ class TestStandardizer:
             assert abs(np.mean(col)) <= 1e-9
             assert abs(np.std(col) - 1.0) <= 1e-9
 
+    def test_values_above_1e154_keep_their_spread(self):
+        train = make_dataset([1e300, -1e300, 5e299])
+        s = fit_standardizer(train)
+        assert s.means[0] == pytest.approx(5e299 / 3, rel=1e-12)
+        assert s.sds[0] == pytest.approx(np.std([1.0, -1.0, 0.5]) * 1e300, rel=1e-12)
+        out = apply_standardizer(s, train).features[:, 0]
+        assert np.isfinite(out).all() and len(set(out.tolist())) == 3
+
     def test_schema_mismatch(self):
         train = make_dataset([1.0, 2.0], names=("a",))
         other = make_dataset([1.0, 2.0], names=("b",))

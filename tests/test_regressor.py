@@ -177,6 +177,15 @@ class TestDensity:
         assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
 
+    def test_unit_ball_volume_past_gamma_overflow(self):
+        # gamma(d/2 + 1) overflows from d = 342 on; the log-space volume
+        # continues the closed form and stays a positive float.
+        with pytest.raises(OverflowError):
+            math.gamma(342 / 2.0 + 1.0)
+        log_volume = 341 / 2.0 * math.log(math.pi) - math.lgamma(341 / 2.0 + 1.0)
+        assert unit_ball_volume(341) == pytest.approx(math.exp(log_volume), rel=1e-12)
+        assert 0.0 < unit_ball_volume(350) < unit_ball_volume(342) < unit_ball_volume(341)
+
     def test_one_dimensional_example(self):
         # q=0: neighbors at 1, -1, 2 -> r = 2; n = 10, k = 3 -> 3 / (10 * 2*2)
         pts = [1.0, -1.0, 2.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0]
