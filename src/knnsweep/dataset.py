@@ -291,23 +291,26 @@ class Standardizer:
         object.__setattr__(self, "column_kinds", tuple(self.column_kinds))
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        """Apply the fitted transform to a raw (m, d) feature matrix; returns a copy."""
+        """Apply the fitted transform to a raw (m, d) feature matrix; returns a copy.
+
+        Where x - mean overflows (values near the float limit on both sides
+        of the mean), that entry is x / sd - mean / sd instead.
+        """
         out = np.array(features, dtype=np.float64)
         for j, kind in enumerate(self.column_kinds):
-            if kind is ColumnKind.NUMERIC:
-                sd = self.sds[j]
-                out[:, j] = 0.0 if sd == 0.0 else (out[:, j] - self.means[j]) / sd
+            if kind is not ColumnKind.NUMERIC:
+                continue
+            sd, mean = self.sds[j], self.means[j]
+            if sd == 0.0:
+                out[:, j] = 0.0
+                continue
+            col = out[:, j]
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = (col - mean) / sd
+                bad = ~np.isfinite(z)
+                z[bad] = col[bad] / sd - mean / sd
+            out[:, j] = z
         return out
-
-    def transform_vector(self, q: np.ndarray) -> np.ndarray:
-        """Apply the fitted transform to one raw feature vector: the one-row
-        case of :meth:`transform`."""
-        q = np.asarray(q, dtype=np.float64)
-        if q.ndim != 1 or q.shape[0] != len(self.column_names):
-            raise SchemaError(
-                f"vector has {q.shape} entries, expected {len(self.column_names)}"
-            )
-        return self.transform(q[None, :])[0]
 
 
 def _column_stat(stat, col: np.ndarray) -> float:

@@ -114,13 +114,6 @@ class _IndexBase:
         shape = arr.shape[:-1] + (k,)
         return NeighborSet(indices=indices.reshape(shape), distances=distances.reshape(shape))
 
-    def kth_distance(self, q, k: int) -> float:
-        """Distance from one query vector to its k-th nearest neighbor
-        (requires k <= n)."""
-        if k > self.n_points:
-            raise ValueError(f"k={k} exceeds the {self.n_points} indexed rows")
-        return float(self.query(self.check_query(q, vector_only=True), k).distances[-1])
-
     def _search_rows(self, rows: np.ndarray, k: int):
         """(indices, internal distances), each (m, k), for the (m, d) query
         ``rows``; k <= n. The default runs _search on one row at a time."""
@@ -309,5 +302,8 @@ def query(index, q, k: int) -> NeighborSet:
 
 
 def query_radius_of_kth(index, q, k: int) -> float:
-    """Distance to the k-th nearest neighbor of ``q`` (k <= n)."""
-    return index.kth_distance(q, k)
+    """Distance from one query vector ``q`` to its k-th nearest neighbor
+    (requires k <= n)."""
+    if k > index.n_points:
+        raise ValueError(f"k={k} exceeds the {index.n_points} indexed rows")
+    return float(index.query(index.check_query(q, vector_only=True), k).distances[-1])

@@ -171,30 +171,36 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
 
 def predict_one(model: KnnModel, q) -> float:
     """Predict the target for one raw feature vector: predict's one-row case."""
-    return _predict_rows(model, _model_vector(model, q)[None, :])[0].item()
+    return _prefix_rows(model, _model_vector(model, q)[None, :])[0, -1].item()
 
 
 def predict(model: KnnModel, queries: Dataset) -> np.ndarray:
     """Predict every query row, in row order, from one neighbor query."""
-    return _predict_rows(model, _model_features(model, queries))
+    return prefix_predictions(model, queries)[:, -1]
 
 
-def _predict_rows(model: KnnModel, features: np.ndarray) -> np.ndarray:
-    """Predictions for an (m, d) matrix in model feature space."""
+def prefix_predictions(model: KnnModel, queries: Dataset) -> np.ndarray:
+    """(m, model.k) predictions for every query row from one neighbor query:
+    entry (i, j) is the prediction for row i at k = j + 1."""
+    return _prefix_rows(model, _model_features(model, queries))
+
+
+def _prefix_rows(model: KnnModel, features: np.ndarray) -> np.ndarray:
+    """prefix_predictions for an (m, d) matrix in model feature space."""
     ns = model.index.query(features, model.k)
     inverse = model.weighting is WeightingMode.INVERSE_DISTANCE
     if inverse and np.any(ns.distances[:, 0] == np.inf):
         raise ValueError(_INF_DISTANCES)
     targets = model.train.target[ns.indices]
-    return predict_prefixes(targets, ns.distances, model.weighting)[:, -1]
+    return predict_prefixes(targets, ns.distances, model.weighting)
 
 
 def _model_vector(model: KnnModel, q) -> np.ndarray:
     """One raw feature vector in model feature space; rejects anything else."""
-    arr = np.asarray(q, dtype=np.float64)
+    arr = model.index.check_query(q, vector_only=True)
     if model.standardizer is not None:
-        arr = model.standardizer.transform_vector(arr)
-    return model.index.check_query(arr, vector_only=True)
+        arr = model.standardizer.transform(arr[None, :])[0]
+    return arr
 
 
 def _model_features(model: KnnModel, queries: Dataset) -> np.ndarray:
@@ -229,12 +235,10 @@ def estimate_density(model: KnnModel, q) -> DensityEstimate:
     V is the euclidean d-ball whose radius reaches the k-th neighbor.
     A zero radius (query sitting on enough training points) is reported
     as :class:`ZeroRadiusError` rather than as an infinite number. Where
-    V leaves float range at a nonzero radius, the estimate takes the IEEE
-    limit: inf when V underflows to 0, and 0.0 when V overflows.
+    V leaves float range at a nonzero radius, the estimate is taken in log
+    space, and is inf or 0.0 only where k / (n * V) itself leaves it.
     """
-    if model.metric is not DistanceMetric.EUCLIDEAN:
-        raise ValueError("density estimation requires the euclidean metric")
-    radius = model.index.kth_distance(_model_vector(model, q), model.k)
+    radius = float(_kth_radii(model, _model_vector, q))
     if radius == 0.0:
         raise ZeroRadiusError(
             "k-th neighbor distance is zero; the density estimate is unbounded here"
@@ -245,19 +249,37 @@ def estimate_density(model: KnnModel, q) -> DensityEstimate:
 def estimate_densities(model: KnnModel, queries: Dataset) -> np.ndarray:
     """estimate_density at every query row, in row order, from one neighbor
     query; a zero radius gives inf instead of ZeroRadiusError."""
+    radii = _kth_radii(model, _model_features, queries)
+    return np.array([_density(model, r) for r in radii.tolist()])
+
+
+def _kth_radii(model: KnnModel, to_model_space, queries) -> np.ndarray:
+    """k-th neighbor distances of ``to_model_space(model, queries)``, a
+    vector or a matrix of rows, from one neighbor query."""
     if model.metric is not DistanceMetric.EUCLIDEAN:
         raise ValueError("density estimation requires the euclidean metric")
-    ns = model.index.query(_model_features(model, queries), model.k)
-    return np.array([_density(model, r) for r in ns.distances[:, -1].tolist()])
+    return model.index.query(to_model_space(model, queries), model.k).distances[..., -1]
 
 
 def _density(model: KnnModel, radius: float) -> float:
-    """k / (n * V) at k-th neighbor distance ``radius``, in Python floats;
-    inf where V is 0 (zero radius or underflow), 0.0 where it overflows."""
+    """k / (n * V) at k-th neighbor distance ``radius``, in Python floats.
+
+    Where V = unit * radius**d leaves float range, the density is
+    exp(log(k / n) - log V) instead, with log V taken term by term; it is
+    inf where that overflows or the radius is 0, and 0.0 where it underflows.
+    """
     dim = model.train.n_columns
-    unit = unit_ball_volume(dim)
     try:
-        volume = unit * radius**dim
+        volume = unit_ball_volume(dim) * radius**dim
     except OverflowError:
-        return 0.0
-    return math.inf if volume == 0.0 else model.k / (model.train.n_rows * volume)
+        volume = math.inf
+    if 0.0 < volume < math.inf:
+        return model.k / (model.train.n_rows * volume)
+    if radius == 0.0:
+        return math.inf
+    log_volume = (dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0)
+                  + dim * math.log(radius))
+    try:
+        return math.exp(math.log(model.k / model.train.n_rows) - log_volume)
+    except OverflowError:
+        return math.inf

@@ -1,29 +1,28 @@
 """The core experiment: evaluate the regressor for every k in a range.
 
-One split and one neighbor index serve every k: a single index query
-returns the k_max nearest training rows of every test row, and the per-k
-predictions are taken from prefixes of these (distance, index)-ordered
-neighbor lists, which is exactly what a per-k refit would return. Every
-k is evaluated in one pass, with no per-k loop or thread pool: running
-sums along the neighbor lists give all the predictions
-(regressor.predict_prefixes) and running sums down the test rows give all
-the metrics (metrics.report_columns). Both add left to
+run_sweep splits once, fits one KnnModel at k_max and reads every k off
+its prefix predictions: a single index query returns the k_max nearest
+training rows of every test row, and the prediction at each k is taken
+from a prefix of these (distance, index)-ordered neighbor lists, which is
+exactly what a per-k refit would return. Every k is evaluated in one
+pass, with no per-k loop: running sums along the neighbor lists give all
+the predictions (regressor.predict_prefixes) and running sums down the
+test rows give all the metrics (metrics.report_columns). Both add left to
 right like the scalar code, so each row equals a per-k refit bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-from .dataset import Dataset, SplitSpec, apply_standardizer, fit_standardizer, split
+from .dataset import Dataset, SplitSpec, fit_standardizer, split
 from .distance import DistanceMetric
 from .metrics import MetricReport, report_columns
-from .neighbors import SearchBackend, build_index
-from .regressor import WeightingMode, predict_prefixes
+from .neighbors import SearchBackend
+from .regressor import WeightingMode, fit, prefix_predictions
 
 CHART_WIDTH = 800
 CHART_HEIGHT = 500
@@ -60,35 +59,17 @@ class SweepResult:
     best_k_r2: int | None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("KNN_SWEEP_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"KNN_SWEEP_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def run_sweep(data: Dataset, config: SweepConfig) -> SweepResult:
-    """Split once, index once, then evaluate every k in [k_min, k_max]."""
+    """Split once, fit once at k_max, then evaluate every k in [k_min, k_max]."""
     train, test = split(data, config.split)
-    if config.standardize:
-        scaler = fit_standardizer(train)
-        train = apply_standardizer(scaler, train)
-        test = apply_standardizer(scaler, test)
     if config.k_max > train.n_rows:
         raise ValueError(
             f"k_max={config.k_max} exceeds the {train.n_rows} training rows "
             f"left by the split"
         )
-    index = build_index(train, config.metric, config.backend)
-    ns = index.query(test.features, config.k_max)
-    _thread_count()  # a bad KNN_SWEEP_THREADS fails every sweep; no stage uses the count
-    preds = predict_prefixes(train.target[ns.indices], ns.distances, config.weighting)
+    scaler = fit_standardizer(train) if config.standardize else None
+    model = fit(train, config.k_max, config.metric, config.weighting, config.backend, scaler)
+    preds = prefix_predictions(model, test)
     reports = report_columns(test.target, preds[:, config.k_min - 1:])
     rows = tuple(zip(range(config.k_min, config.k_max + 1), reports))
     return SweepResult(rows=rows, best_k_rmse=_best_k(rows, "rmse"),

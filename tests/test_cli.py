@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -287,6 +288,19 @@ class TestOverflowLimits:
         assert proc.stderr.startswith("error: ") and "overflowed to inf" in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("command, k_flags", [("eval", ["--k", "1"]),
+                                                  ("sweep", ["--k-max", "2"])])
+    def test_inf_distances_in_sweep_and_eval_is_the_typed_error(self, tmp_path,
+                                                                command, k_flags):
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n" + "".join(f"{i}e200,{i}\n" for i in range(10)))
+        extra = ["--out-table", tmp_path / "t.csv"] if command == "sweep" else []
+        proc = run_cli(command, "--data", data, "--target", "y", *k_flags,
+                       "--weighting", "inverse", "--no-standardize", *extra)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "overflowed to inf" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("x, expected", [("1e-150", "0,inf"), ("1e150", "0,0")])
     def test_density_ball_volume_out_of_float_range(self, tmp_path, x, expected):
         train = tmp_path / "train.csv"
@@ -302,9 +316,10 @@ class TestOverflowLimits:
 class TestOverflowFallbacks:
     def test_density_in_350_dimensions_writes_one_row(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(350))
+        features = rng.normal(size=(20, 350))
         header = ",".join(f"c{j}" for j in range(350))
         train = tmp_path / "train.csv"
-        np.savetxt(train, rng.normal(size=(20, 350)), delimiter=",", header=header, comments="")
+        np.savetxt(train, features, delimiter=",", header=header, comments="")
         qpath = tmp_path / "q.csv"
         np.savetxt(qpath, np.zeros((1, 350)), delimiter=",", header=header, comments="")
         out = tmp_path / "d.csv"
@@ -313,12 +328,31 @@ class TestOverflowFallbacks:
         lines = out.read_text().splitlines()
         assert lines[0] == "row_index,density" and len(lines) == 2
         assert lines[1].startswith("0,")
+        # k / (n V) with V = pi^175 r^350 / 175!, in base-10 logs of exact factors.
+        radius = np.sort(np.sqrt((features**2).sum(axis=1)))[1]
+        log10_volume = (175 * math.log10(math.pi) + 350 * math.log10(radius)
+                        - math.log10(math.factorial(175)))
+        expected = 10 ** (math.log10(2 / 20) - log10_volume)
+        assert expected == pytest.approx(1.3158e-208, rel=1e-4, abs=0)
+        assert float(lines[1][2:]) == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_standardizing_values_above_1e154_keeps_the_exact_match(self, tmp_path):
         train = tmp_path / "train.csv"
         train.write_text("x,y\n1e300,1\n-1e300,2\n5e299,3\n")
         qpath = tmp_path / "q.csv"
         qpath.write_text("x\n5e299\n")
+        out = tmp_path / "p.csv"
+        proc = run_cli("predict", "--train", train, "--query", qpath, "--target", "y",
+                       "--k", "1", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert out.read_text().splitlines() == ["row_index,prediction", "0,3"]
+
+    def test_standardizing_values_at_the_float_limit_keeps_the_exact_match(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_text("x,y\n1.7e308,1\n1.7e308,2\n-1.7e308,3\n")
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x\n-1.7e308\n")
         out = tmp_path / "p.csv"
         proc = run_cli("predict", "--train", train, "--query", qpath, "--target", "y",
                        "--k", "1", "--out", out)

@@ -9,6 +9,7 @@ from knnsweep import (
     SplitSpec,
     SweepConfig,
     SweepResult,
+    WeightingMode,
     apply_standardizer,
     emit_chart,
     emit_table,
@@ -96,19 +97,12 @@ class TestRunSweep:
         b = run_sweep(data, SweepConfig(backend=SearchBackend.KD_TREE, **base))
         assert a == b
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        data = _linear_dataset(n=70)
-        config = SweepConfig(k_min=1, k_max=30)
-        monkeypatch.setenv("KNN_SWEEP_THREADS", "1")
-        serial = run_sweep(data, config)
-        monkeypatch.setenv("KNN_SWEEP_THREADS", "4")
-        threaded = run_sweep(data, config)
-        assert serial == threaded
-
-    def test_invalid_thread_count(self, monkeypatch):
-        monkeypatch.setenv("KNN_SWEEP_THREADS", "zero")
-        with pytest.raises(ValueError, match="KNN_SWEEP_THREADS"):
-            run_sweep(_linear_dataset(n=20), SweepConfig(k_min=1, k_max=2))
+    def test_inf_distances_with_inverse_weighting_raise_the_typed_error(self):
+        data = make_dataset([i * 1e200 for i in range(10)], target=list(range(10)))
+        config = SweepConfig(k_min=1, k_max=2, weighting=WeightingMode.INVERSE_DISTANCE,
+                             standardize=False)
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            run_sweep(data, config)
 
     def test_k_max_beyond_train_size(self):
         with pytest.raises(ValueError, match="exceeds"):
