@@ -162,7 +162,7 @@ def cmd_predict(args) -> int:
         backend=_BACKENDS[args.backend],
         standardizer=scaler,
     )
-    queries = load_features_csv(args.query, args.categorical)
+    queries = load_features_csv(args.query, args.categorical, train.codebooks)
     preds = predict(model, queries)
     lines = ["row_index,prediction"]
     lines.extend(f"{i},{p:.17g}" for i, p in enumerate(preds.tolist()))

@@ -3,7 +3,9 @@
 A :class:`Dataset` stores a float64 feature matrix plus a target vector.
 Categorical columns are kept as non-negative integer codes cast to float,
 assigned in first-appearance order at load time, so repeated loads of the
-same file are deterministic without any global label dictionary.
+same file are deterministic without any global label dictionary. The
+Dataset carries each categorical column's codebook, so a query file can
+be coded with the training file's labels.
 """
 
 from __future__ import annotations
@@ -39,19 +41,25 @@ class Dataset:
       ``target`` is 1-D with matching length;
     * ``column_kinds`` and ``column_names`` align with the feature columns;
     * every value is finite (no NaN/inf survives a successful load);
-    * categorical columns hold exact integer codes >= 0.
+    * categorical columns hold exact integer codes >= 0;
+    * ``codebooks`` maps categorical column names to their labels in code
+      order (label ``codebooks[name][c]`` has code c); loaded files fill
+      it, and a column without an entry has no known labels.
     """
 
     features: np.ndarray
     target: np.ndarray
     column_kinds: tuple[ColumnKind, ...] = field(default=())
     column_names: tuple[str, ...] = field(default=())
+    codebooks: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         features = np.array(self.features, dtype=np.float64, order="C")
         target = np.array(self.target, dtype=np.float64)
         kinds = tuple(self.column_kinds)
         names = tuple(str(n) for n in self.column_names)
+        books = {str(name): tuple(str(label) for label in labels)
+                 for name, labels in dict(self.codebooks).items()}
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if target.ndim != 1:
@@ -74,12 +82,16 @@ class Dataset:
                     raise ValueError(
                         f"categorical column {names[j]!r} must hold integer codes >= 0"
                     )
+        categorical = {name for name, kind in zip(names, kinds) if kind is ColumnKind.CATEGORICAL}
+        if not categorical.issuperset(books):
+            raise ValueError("codebooks must name categorical feature columns only")
         features.setflags(write=False)
         target.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "column_kinds", kinds)
         object.__setattr__(self, "column_names", names)
+        object.__setattr__(self, "codebooks", books)
 
     @property
     def n_rows(self) -> int:
@@ -97,6 +109,7 @@ class Dataset:
             target=self.target[idx],
             column_kinds=self.column_kinds,
             column_names=self.column_names,
+            codebooks=self.codebooks,
         )
 
 
@@ -118,10 +131,13 @@ class SplitSpec:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-def _read_dataset(path, target_column, categorical_columns) -> Dataset:
+def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> Dataset:
     """Shared CSV parser. target_column=None loads a feature-only file,
-    whose target is all zeros."""
+    whose target is all zeros. A categorical column named in ``codebooks``
+    is coded with that codebook; its other columns code labels in
+    first-appearance order."""
     categorical = set(categorical_columns)
+    fixed = dict(codebooks or {})
     if target_column is not None and target_column in categorical:
         raise CsvFormatError(
             f"target column {target_column!r} cannot be listed as categorical"
@@ -150,7 +166,10 @@ def _read_dataset(path, target_column, categorical_columns) -> Dataset:
             ColumnKind.CATEGORICAL if name in categorical else ColumnKind.NUMERIC
             for name in feature_names
         )
-        codebooks: dict[str, dict[str, int]] = {name: {} for name in categorical}
+        books: dict[str, dict[str, int]] = {
+            name: {label: code for code, label in enumerate(fixed.get(name, ()))}
+            for name in categorical
+        }
         columns: list[list[float]] = [[] for _ in feature_names]
         target_values: list[float] = []
         n_rows = 0
@@ -167,8 +186,13 @@ def _read_dataset(path, target_column, categorical_columns) -> Dataset:
                         raise CsvFormatError(
                             f"{path}: row {row_no}, column {name!r}: missing value"
                         )
-                    book = codebooks[name]
-                    code = book.setdefault(cell, len(book))
+                    book = books[name]
+                    code = book.get(cell) if name in fixed else book.setdefault(cell, len(book))
+                    if code is None:
+                        raise CsvFormatError(
+                            f"{path}: row {row_no}, column {name!r}: label {cell!r} "
+                            "does not occur in the training data"
+                        )
                     columns[j].append(float(code))
                 else:
                     columns[j].append(_parse_real(path, row_no, name, cell))
@@ -187,6 +211,7 @@ def _read_dataset(path, target_column, categorical_columns) -> Dataset:
         target=np.asarray(target_values, dtype=np.float64),
         column_kinds=kinds,
         column_names=tuple(feature_names),
+        codebooks={name: tuple(book) for name, book in books.items()},
     )
 
 
@@ -215,12 +240,15 @@ def load_csv(path, target_column: str, categorical_columns=()) -> Dataset:
     return _read_dataset(path, target_column, categorical_columns)
 
 
-def load_features_csv(path, categorical_columns=()) -> Dataset:
+def load_features_csv(path, categorical_columns=(), codebooks=None) -> Dataset:
     """Load a feature-only CSV (no target column); the target is all zeros.
 
-    Used for query files, which carry feature columns only.
+    Used for query files, which carry feature columns only. Pass the
+    training Dataset's ``codebooks`` so that each categorical label gets
+    its training code; a label the codebook lacks raises CsvFormatError
+    naming the row and column.
     """
-    return _read_dataset(path, None, categorical_columns)
+    return _read_dataset(path, None, categorical_columns, codebooks)
 
 
 def write_csv(data: Dataset, path, target_name: str = "target") -> None:
@@ -324,6 +352,18 @@ def _column_stat(stat, col: np.ndarray) -> float:
     return float(stat(col / scale)) * scale
 
 
+def _column_sd(col: np.ndarray) -> float:
+    """Population sd of ``col``. Where the squared deviations underflow to
+    0 on a non-constant column (deviations below about 1e-162), the sd of
+    col * 2^-e, times 2^e, with 2^e the binade of max |col|; scaling those
+    values up by a power of two is exact."""
+    sd = _column_stat(np.std, col)
+    if sd == 0.0 and np.any(col != col[0]):
+        exponent = int(np.frexp(np.max(np.abs(col)))[1])
+        sd = float(np.ldexp(np.std(np.ldexp(col, -exponent)), exponent))
+    return sd
+
+
 def fit_standardizer(train: Dataset) -> Standardizer:
     """Fit per-column mean/sd (population sd) on the numeric training columns."""
     if train.n_rows == 0:
@@ -334,7 +374,7 @@ def fit_standardizer(train: Dataset) -> Standardizer:
         if kind is ColumnKind.NUMERIC:
             col = train.features[:, j]
             means[j] = _column_stat(np.mean, col)
-            sds[j] = _column_stat(np.std, col)
+            sds[j] = _column_sd(col)
     return Standardizer(
         column_names=train.column_names,
         column_kinds=train.column_kinds,
@@ -352,4 +392,5 @@ def apply_standardizer(s: Standardizer, data: Dataset) -> Dataset:
         target=data.target,
         column_kinds=data.column_kinds,
         column_names=data.column_names,
+        codebooks=data.codebooks,
     )

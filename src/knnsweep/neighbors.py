@@ -4,11 +4,22 @@ Two backends: a brute-force scan (the reference) and a kd-tree. Both
 return bit-identical results: neighbors are ordered by the total order
 (distance, row index), so equal distances resolve to the lower index and
 the outcome does not depend on the backend or traversal schedule.
+
+Why the kd-tree's pruning is exact. IEEE subtraction, squaring, abs and
+addition are monotone: a <= b implies fl(a - c) <= fl(b - c),
+fl(c - b) <= fl(c - a), fl(a * a) <= fl(b * b) for 0 <= a, and
+fl(a + c) <= fl(b + c). For a point p inside the box [lo, hi], the
+per-coordinate gap max(lo - q, q - hi, 0) therefore never exceeds the
+computed |p - q|. A box bound that accumulates those gaps from 0.0, in
+the same coordinate order and the same steps as :func:`_point_distances`,
+never exceeds the computed distance of any point in the box, even where
+squares overflow to inf. The tree skips a leaf only when its bound is
+strictly greater than a distance that k real points already reach, so a
+scan with ``<=`` never drops a point that ties the k-th distance.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,8 +29,12 @@ from .dataset import ColumnKind, Dataset
 from .distance import DistanceMetric
 
 _LEAF_SIZE = 16
-# Byte cap on each (block x n) buffer of the blocked brute-force kernel.
+# Byte cap on each (block x n) buffer of the blocked brute-force kernel;
+# the kd-tree caps each of its per-block buffers at a quarter of it.
 _BLOCK_BYTES = 1 << 20
+# Query rows the kd-tree searches together. Rows are sorted by home leaf,
+# so a small block stays spatially compact and its leaf filter stays tight.
+_TREE_BLOCK_ROWS = 16
 
 
 class SearchBackend(Enum):
@@ -66,9 +81,87 @@ def _point_distances(points: np.ndarray, q: np.ndarray, metric: DistanceMetric) 
     return acc
 
 
+def _accumulate(dist, columns, q, metric, work, mask):
+    """Fill ``dist[i, c]`` with the internal distance from query ``q[i]`` to
+    training point c, element for element the ops of _point_distances.
+
+    ``columns`` yields, coordinate by coordinate, that coordinate of the
+    training points: a row broadcast over the queries, or a matrix shaped
+    like ``dist`` (which may be ``work`` itself). ``work`` and, for
+    hamming, the bool ``mask`` are scratch shaped like ``dist``.
+    """
+    dist.fill(0.0)
+    for j, column in enumerate(columns):
+        coord = q[:, j:j + 1]
+        if metric is DistanceMetric.HAMMING:
+            dist += np.not_equal(column, coord, out=mask)  # counts are exact in float64
+            continue
+        np.subtract(column, coord, out=work)
+        if metric is DistanceMetric.EUCLIDEAN:
+            np.multiply(work, work, out=work)
+        else:
+            np.abs(work, out=work)
+        dist += work
+    return dist
+
+
+def _nearest_k(dist, k, work, keep, ids=None):
+    """(indices, distances), each (b, k): the k smallest entries of each row
+    of the (b, c) matrix ``dist`` in (distance, training-row index) order.
+
+    ``ids[i, c]`` is the training row behind ``dist[i, c]`` (default: the
+    column c). Every entry at or below its row's k-th smallest value is a
+    candidate; sorting them on (row, distance, training row) and taking the
+    first k of each row is that order. ``work`` and the bool ``keep`` are
+    scratch shaped like ``dist``.
+    """
+    b, c = dist.shape
+    if k == c:
+        keep.fill(True)
+    else:
+        np.copyto(work, dist)
+        work.partition(k - 1, axis=1)
+        np.less_equal(dist, work[:, k - 1:k], out=keep)
+    flat = np.flatnonzero(keep)
+    row, col = np.divmod(flat, c)
+    cand = np.take(dist, flat)
+    index = col if ids is None else np.take(ids, flat)
+    order = np.lexsort((index, cand, row))
+    counts = np.bincount(row, minlength=b)
+    take = order[((np.cumsum(counts) - counts)[:, None] + np.arange(k)).ravel()]
+    return index[take].reshape(b, k), cand[take].reshape(b, k)
+
+
+def _box_bounds(lo, hi, q_lo, q_hi, metric):
+    """(b, L) lower bounds on the internal distance from any query in the
+    box [q_lo[i], q_hi[i]] to any point in the box [lo[:, l], hi[:, l]].
+
+    ``lo``/``hi`` are (d, L) and ``q_lo``/``q_hi`` (b, d). Per coordinate
+    the gap is max(lo - q_hi, q_lo - hi, 0), accumulated from 0.0 in the
+    order and steps of _point_distances (see the module docstring).
+    """
+    bound = np.zeros((q_lo.shape[0], lo.shape[1]))
+    for j in range(lo.shape[0]):
+        gap = np.maximum(lo[j] - q_hi[:, j:j + 1], q_lo[:, j:j + 1] - hi[j])
+        np.maximum(gap, 0.0, out=gap)
+        if metric is DistanceMetric.EUCLIDEAN:
+            np.multiply(gap, gap, out=gap)
+        bound += gap
+    return bound
+
+
+def _view(buffer, rows, cols):
+    """A (rows, cols) view of the flat scratch ``buffer``, or a new array
+    where one row alone is wider than the buffer."""
+    if rows * cols > buffer.size:
+        return np.empty((rows, cols), dtype=buffer.dtype)
+    return buffer[:rows * cols].reshape(rows, cols)
+
+
 class _IndexBase:
-    """Shared query plumbing; subclasses implement _search and may replace
-    the row loop of _search_rows."""
+    """Shared query plumbing. Each backend implements
+    ``_search_rows(rows, k)``: (indices, internal distances), each (m, k),
+    for the (m, d) query ``rows``, with k <= n."""
 
     def __init__(self, points: np.ndarray, metric: DistanceMetric):
         self._points = points
@@ -114,18 +207,6 @@ class _IndexBase:
         shape = arr.shape[:-1] + (k,)
         return NeighborSet(indices=indices.reshape(shape), distances=distances.reshape(shape))
 
-    def _search_rows(self, rows: np.ndarray, k: int):
-        """(indices, internal distances), each (m, k), for the (m, d) query
-        ``rows``; k <= n. The default runs _search on one row at a time."""
-        indices = np.empty((rows.shape[0], k), dtype=np.int64)
-        distances = np.empty((rows.shape[0], k), dtype=np.float64)
-        for i, row in enumerate(rows):
-            indices[i], distances[i] = self._search(row, k)
-        return indices, distances
-
-    def _search(self, q: np.ndarray, k: int):
-        raise NotImplementedError
-
 
 class BruteForceIndex(_IndexBase):
     """Reference backend: an exact scan over every training row.
@@ -153,125 +234,165 @@ class BruteForceIndex(_IndexBase):
         acc = np.empty((min(block, m), n), dtype=np.float64)
         scratch = np.empty_like(acc)
         mask = np.empty(acc.shape, dtype=bool)
-        first_k = np.arange(k)
         columns = np.ascontiguousarray(self._points.T)
         for start in range(0, m, block):
             q = rows[start:start + block]
             b = q.shape[0]
             dist, work, keep = acc[:b], scratch[:b], mask[:b]
-            self._block_distances(columns, q, dist, work, keep)
-            # Every entry at or below its row's k-th smallest value is a
-            # candidate; sorting them on (row, distance, column) and taking
-            # the first k of each row is the (distance, row index) order.
-            if k == n:
-                keep.fill(True)
-            else:
-                np.copyto(work, dist)
-                work.partition(k - 1, axis=1)
-                np.less_equal(dist, work[:, k - 1:k], out=keep)
-            flat = np.flatnonzero(keep)
-            row, col = np.divmod(flat, n)
-            cand = np.take(dist, flat)
-            order = np.lexsort((col, cand, row))
-            counts = np.bincount(row, minlength=b)
-            take = order[((np.cumsum(counts) - counts)[:, None] + first_k).ravel()]
-            indices[start:start + b] = col[take].reshape(b, k)
-            distances[start:start + b] = cand[take].reshape(b, k)
+            _accumulate(dist, columns, q, self.metric, work, keep)
+            indices[start:start + b], distances[start:start + b] = _nearest_k(dist, k, work, keep)
         return indices, distances
-
-    def _block_distances(self, columns, q, dist, work, keep):
-        """Fill ``dist[i, r]`` with the internal distance from query ``q[i]``
-        to training row r, element for element the ops of _point_distances;
-        ``work`` and ``keep`` are scratch."""
-        dist.fill(0.0)
-        for j in range(self.dim):
-            column, coord = columns[j], q[:, j:j + 1]
-            if self.metric is DistanceMetric.HAMMING:
-                np.not_equal(column, coord, out=keep)
-                dist += keep  # mismatch counts are exact in float64
-                continue
-            np.subtract(column, coord, out=work)
-            if self.metric is DistanceMetric.EUCLIDEAN:
-                np.multiply(work, work, out=work)
-            else:
-                np.abs(work, out=work)
-            dist += work
-
-
-class _KdNode:
-    __slots__ = ("axis", "left_max", "right_min", "left", "right", "row_ids", "points")
-
-    def __init__(self):
-        self.row_ids = None  # leaf payload: list of original row indices
-        self.points = None
 
 
 class KdTreeIndex(_IndexBase):
-    """Exact kd-tree: median split on the widest-spread dimension, leaf
-    size 16, pruning via the split-axis distance bound (valid for the two
-    axis-decomposable metrics, euclidean and manhattan).
+    """Exact kd-tree in flat arrays, searched a block of queries at a time.
 
-    Pruning only skips a subtree when its axis bound strictly exceeds the
-    current k-th best distance, so equal-distance points always get
-    examined and the (distance, index) tie-break matches brute force.
+    Build: level by level, every node splits its contiguous range of one
+    permuted point array in two with ``argpartition`` on its widest-spread
+    axis, until each of the 2^D leaves holds at most _LEAF_SIZE points.
+    Kept are the per-node split (axis, value) in heap order, the per-leaf
+    bounding boxes ``lo``/``hi``, each leaf's range, and the points in leaf
+    order, column-major, followed by one sentinel point of +inf whose
+    distance to every query is inf. Valid for the two axis-decomposable
+    metrics, euclidean and manhattan.
+
+    Search, the query-block form of dual-tree search (Gray & Moore, NIPS
+    2000): every query walks down to its home leaf in D vectorized steps,
+    and the rows are sorted by home leaf, so consecutive rows are close in
+    space. For each block of rows:
+
+    1. seed each query's bound with the k-th smallest distance to a window
+       of 2k real points (at least one leaf's worth) around its home leaf;
+    2. keep the leaves whose box-to-box bound from the block's query box
+       is ``<=`` the block's largest seed bound;
+    3. scan every (query, leaf) pair whose point-to-box bound (Friedman,
+       Bentley & Finkel, ACM TOMS 1977) is ``<=`` that query's seed bound,
+       as one candidate matrix padded with the sentinel;
+    4. select the nearest k with the brute-force kernel's tail,
+       :func:`_nearest_k`, which breaks ties on the training-row index.
+
+    The seed bound is the k-th distance among real points, so it is at or
+    above the true k-th distance, and by the module docstring's argument
+    every point at or below the true k-th distance sits in a scanned leaf.
+    Each per-block buffer, the candidate matrix included, is capped at
+    _BLOCK_BYTES // 4 bytes: a block gives up rows until its buffers fit,
+    keeping at least one row.
     """
 
     def __init__(self, points, metric):
         super().__init__(points, metric)
-        self._root = self._build(np.arange(self.n_points, dtype=np.int64))
+        n, d = self._points.shape
+        depth = 0
+        while -(-n >> depth) > _LEAF_SIZE:  # ceil(n / 2^depth)
+            depth += 1
+        perm = np.arange(n)
+        sizes = np.array([n])
+        axes, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        for _ in range(depth):
+            # Sizes at one level differ by at most 1, so the nodes fit one
+            # (nodes, widest) matrix; the short rows get one +inf pad slot.
+            starts = np.cumsum(sizes) - sizes
+            pts = self._points[perm]
+            spread = (np.maximum.reduceat(pts, starts, axis=0)
+                      - np.minimum.reduceat(pts, starts, axis=0))
+            axis = np.argmax(spread, axis=1)
+            width = int(sizes.max())
+            half = width // 2
+            slot = np.arange(width)
+            pad = slot >= sizes[:, None]
+            pos = np.minimum(starts[:, None] + slot, n - 1)
+            vals = pts[pos, axis[:, None]]
+            vals[pad] = np.inf
+            part = np.argpartition(vals, half, axis=1)
+            axes.append(axis)
+            values.append(np.take_along_axis(vals, part[:, half:half + 1], 1)[:, 0])
+            moved = np.take_along_axis(perm[pos], part, 1)
+            perm = moved[~np.take_along_axis(pad, part, 1)]
+            sizes = np.column_stack([np.full(len(sizes), half), sizes - half]).ravel()
+        starts = np.cumsum(sizes) - sizes
+        pts = self._points[perm]
+        self._depth = depth
+        self._split_axis, self._split_value = np.concatenate(axes), np.concatenate(values)
+        self._leaf_start, self._leaf_size = starts, sizes
+        self._lo = np.ascontiguousarray(np.minimum.reduceat(pts, starts, axis=0).T)
+        self._hi = np.ascontiguousarray(np.maximum.reduceat(pts, starts, axis=0).T)
+        self._columns = np.full((d, n + 1), np.inf)
+        self._columns[:, :n] = pts.T
+        self._ids = np.append(perm, n)
 
-    def _build(self, ids: np.ndarray) -> _KdNode:
-        node = _KdNode()
-        pts = self._points[ids]
-        if len(ids) <= _LEAF_SIZE:
-            node.row_ids = ids.tolist()
-            node.points = pts
-            return node
-        spread = pts.max(axis=0) - pts.min(axis=0)
-        axis = int(np.argmax(spread))
-        order = ids[np.argsort(pts[:, axis], kind="stable")]
-        mid = len(order) // 2
-        node.axis = axis
-        node.left_max = float(self._points[order[mid - 1], axis])
-        node.right_min = float(self._points[order[mid], axis])
-        node.left = self._build(order[:mid])
-        node.right = self._build(order[mid:])
-        return node
+    def _home_leaves(self, rows):
+        """The leaf each query row reaches by walking down the splits."""
+        node = np.zeros(rows.shape[0], dtype=np.intp)
+        every = np.arange(rows.shape[0])
+        for _ in range(self._depth):
+            right = rows[every, self._split_axis[node]] >= self._split_value[node]
+            node = 2 * node + 1 + right
+        return node - ((1 << self._depth) - 1)
 
-    def _search(self, q, k):
-        euclid = self.metric is DistanceMetric.EUCLIDEAN
-        heap: list[tuple[float, int]] = []  # (-distance, -index): root is the worst kept
+    def _distances(self, q, positions, dist, work):
+        """Fill ``dist`` with the internal distances from each query q[i]
+        to the points at ``positions[i]`` (leaf order; n is the sentinel)."""
+        # mode="clip" writes straight into ``out``; every position is valid
+        gathered = (np.take(column, positions, out=work, mode="clip") for column in self._columns)
+        return _accumulate(dist, gathered, q, self.metric, work, None)
 
-        def visit(node: _KdNode) -> None:
-            if node.row_ids is not None:
-                dvec = _point_distances(node.points, q, self.metric)
-                for d, i in zip(dvec.tolist(), node.row_ids):
-                    if len(heap) < k:
-                        heapq.heappush(heap, (-d, -i))
-                    else:
-                        worst_d, worst_i = -heap[0][0], -heap[0][1]
-                        if d < worst_d or (d == worst_d and i < worst_i):
-                            heapq.heapreplace(heap, (-d, -i))
-                return
-            qa = float(q[node.axis])
-            gap_left = qa - node.left_max
-            gap_right = node.right_min - qa
-            if gap_left <= gap_right:
-                children = ((node.left, gap_left), (node.right, gap_right))
-            else:
-                children = ((node.right, gap_right), (node.left, gap_left))
-            for child, gap in children:
-                if len(heap) == k and gap > 0.0:
-                    bound = gap * gap if euclid else gap
-                    if bound > -heap[0][0]:
-                        continue
-                visit(child)
+    def _candidates(self, scan, live, counts, cand):
+        """Fill ``cand`` (b, max count) with the leaf-order positions of the
+        points in each row's scanned leaves, padded with the sentinel n."""
+        row, leaf = np.nonzero(scan)
+        leaf = live[leaf]
+        size = self._leaf_size[leaf]
+        total = int(counts.sum())
+        first = np.cumsum(size) - size  # each pair's first slot in the flat list
+        pos = np.repeat(self._leaf_start[leaf] - first, size) + np.arange(total)
+        row = np.repeat(row, size)
+        slot = np.arange(total) - (np.cumsum(counts) - counts)[row]
+        cand.fill(self.n_points)
+        cand[row, slot] = pos
+        return cand
 
-        visit(self._root)
-        pairs = sorted((-neg_d, -neg_i) for neg_d, neg_i in heap)
-        indices = np.fromiter((i for _, i in pairs), dtype=np.int64, count=len(pairs))
-        internal = np.fromiter((d for d, _ in pairs), dtype=np.float64, count=len(pairs))
-        return indices, internal
+    def _search_rows(self, rows, k):
+        m, n = rows.shape[0], self.n_points
+        cap = _BLOCK_BYTES // 4 // 8  # entries per block buffer
+        indices = np.empty((m, k), dtype=np.int64)
+        distances = np.empty((m, k), dtype=np.float64)
+        home = self._home_leaves(rows)
+        order = np.argsort(home, kind="stable")
+        # Seeding from 2k points instead of k gives a bound close enough to
+        # the true k-th distance to cut the scan to a few k points per row.
+        width = min(n, max(2 * k, int(self._leaf_size.max())))
+        window = np.clip(self._leaf_start + self._leaf_size // 2 - width // 2, 0, n - width)
+        dist_buf, work_buf = np.empty(cap), np.empty(cap)
+        cand_buf, ids_buf = np.empty(cap, dtype=np.intp), np.empty(cap, dtype=np.intp)
+        keep_buf = np.empty(cap, dtype=bool)
+        start = 0
+        while start < m:
+            sel = order[start:start + min(_TREE_BLOCK_ROWS, max(1, cap // width))]
+            q = rows[sel]
+            b = len(sel)
+            seed = self._distances(q, window[home[sel]][:, None] + np.arange(width),
+                                   _view(dist_buf, b, width), _view(work_buf, b, width))
+            seed.partition(k - 1, axis=1)
+            bound = seed[:, k - 1].copy()
+            live = np.flatnonzero(_box_bounds(
+                self._lo, self._hi, q.min(0, keepdims=True), q.max(0, keepdims=True),
+                self.metric)[0] <= bound.max())
+            b = min(b, max(1, cap // len(live)))
+            q, bound = q[:b], bound[:b]
+            scan = _box_bounds(self._lo[:, live], self._hi[:, live], q, q,
+                               self.metric) <= bound[:, None]
+            counts = scan @ self._leaf_size[live]
+            fits = np.maximum.accumulate(counts) * np.arange(1, b + 1) <= cap
+            b = max(1, int(np.count_nonzero(fits)))
+            c = int(counts[:b].max())
+            cand = self._candidates(scan[:b], live, counts[:b], _view(cand_buf, b, c))
+            dist = self._distances(q[:b], cand, _view(dist_buf, b, c), _view(work_buf, b, c))
+            ids = np.take(self._ids, cand, out=_view(ids_buf, b, c), mode="clip")
+            block = sel[:b]
+            indices[block], distances[block] = _nearest_k(
+                dist, k, _view(work_buf, b, c), _view(keep_buf, b, c), ids)
+            start += b
+        return indices, distances
 
 
 def build_index(train: Dataset, metric: DistanceMetric, backend: SearchBackend):

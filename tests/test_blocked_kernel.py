@@ -9,6 +9,11 @@ that duplicated rows and mass distance ties occur, mixed with arbitrary
 floats whose sums round, along with n = 1, k = n, subnormal coordinates,
 squared distances that all overflow to inf, and hamming codes.
 Derandomized and capped at a few examples per case.
+
+``KdTreeIndex.query`` is checked the same way on trees with two or more
+levels (n from 17 to 300), with the tree's query-block row count and its
+per-block buffer cap patched so that m crosses several blocks and blocks
+give up rows to fit.
 """
 
 import numpy as np
@@ -99,3 +104,37 @@ def test_blocked_hamming_kernel_equals_per_row_scan(case):
     points, queries, k, block = case
     index = BruteForceIndex(points, DistanceMetric.HAMMING)
     _assert_equals_per_row_oracle(_query_blocked(index, queries, k, block), index, queries, k)
+
+
+@st.composite
+def tree_cases(draw):
+    """(training points, query rows, k, rows per block, block bytes) for a
+    kd-tree of two or more levels: grid rows with duplicates and mass ties,
+    some arbitrary normal rows, and queries that copy training rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(17, 300))
+    points = rng.integers(0, draw(st.sampled_from([1, 2, 3, 6])), size=(n, d)).astype(float)
+    free = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    points[free] = rng.normal(0.0, 2.0, size=(int(free.sum()), d))
+    m = draw(st.integers(1, 40))
+    queries = np.where(rng.random((m, 1)) < 0.5, points[rng.integers(0, n, size=m)],
+                       rng.integers(-1, 4, size=(m, d)))
+    scale = draw(st.sampled_from([1.0, 0.37, 1e-308, 5e-324, 1e200]))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    # 8 * 4 * c bytes caps each kd-tree block buffer at c float64 entries
+    block_bytes = draw(st.sampled_from([neighbors._BLOCK_BYTES, 32, 32 * 40, 32 * 500]))
+    return points * scale, queries * scale, k, draw(st.integers(1, 5)), block_bytes
+
+
+@pytest.mark.parametrize("metric", NUMERIC_METRICS)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(case=tree_cases())
+def test_multi_level_kd_tree_equals_per_row_scan(case, metric):
+    points, queries, k, rows, block_bytes = case
+    tree = KdTreeIndex(points, metric)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_TREE_BLOCK_ROWS", rows)
+        mp.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
+        result = tree.query(queries, k)
+    _assert_equals_per_row_oracle(result, BruteForceIndex(points, metric), queries, k)

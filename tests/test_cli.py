@@ -208,6 +208,22 @@ class TestPredictCommand:
         expected = predict(model, make_dataset(queries, names=("x1", "x2", "x3")))
         assert got == expected.tolist()
 
+    def test_categorical_query_uses_the_training_codes(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_text("c,y\na,1\nb,2\n")
+        query = tmp_path / "query.csv"
+        query.write_text("c\nb\n")
+        out = tmp_path / "p.csv"
+        args = ("predict", "--train", train, "--query", query, "--target", "y", "--k", "1",
+                "--categorical", "c", "--metric", "hamming", "--backend", "brute", "--out", out)
+        proc = run_cli(*args)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == "row_index,prediction\n0,2\n"
+        query.write_text("c\nz\n")
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {query}: row 1, column 'c': label 'z' does not occur in the training data\n"
+
 
 class TestDensityCommand:
     @pytest.fixture

@@ -8,9 +8,11 @@ from knnsweep import (
     SchemaError,
     SplitSpec,
     apply_standardizer,
+    fit,
     fit_standardizer,
     load_csv,
     load_features_csv,
+    predict_one,
     split,
     write_csv,
 )
@@ -39,6 +41,20 @@ class TestLoadCsv:
         ds = load_csv(p, "y", categorical_columns={"color"})
         assert ds.column_kinds == (ColumnKind.CATEGORICAL,)
         assert np.array_equal(ds.features[:, 0], [0.0, 1.0, 0.0])
+
+    def test_query_file_takes_the_training_codebook(self, tmp_path):
+        train = load_csv(_write(tmp_path, "c,y\na,1\nb,2\n"), "y", categorical_columns={"c"})
+        assert train.codebooks == {"c": ("a", "b")}
+        query = load_features_csv(_write(tmp_path, "c\nb\na\nb\n", "q.csv"),
+                                  categorical_columns={"c"}, codebooks=train.codebooks)
+        assert query.features[:, 0].tolist() == [1.0, 0.0, 1.0]
+        assert query.codebooks == train.codebooks
+        assert split(train, SplitSpec(0.5, 1))[0].codebooks == train.codebooks
+
+    def test_label_missing_from_the_codebook_names_row_and_column(self, tmp_path):
+        q = _write(tmp_path, "c\na\nz\n", "q.csv")
+        with pytest.raises(CsvFormatError, match=r"row 2, column 'c': label 'z'"):
+            load_features_csv(q, categorical_columns={"c"}, codebooks={"c": ("a", "b")})
 
     def test_unparseable_cell_names_row_and_column(self, tmp_path):
         p = _write(tmp_path, "a,b,y\n1,abc,10\n")
@@ -279,6 +295,16 @@ class TestStandardizer:
         assert s.sds[0] == pytest.approx(np.std([1.0, -1.0, 0.5]) * 1e300, rel=1e-12)
         out = apply_standardizer(s, train).features[:, 0]
         assert np.isfinite(out).all() and len(set(out.tolist())) == 3
+
+    def test_subnormal_column_keeps_its_spread(self):
+        # squared deviations of these values underflow to 0
+        train = make_dataset([5e-324, 1e-323, 0.0, 1.5e-323], target=[1.0, 2.0, 3.0, 4.0])
+        s = fit_standardizer(train)
+        assert s.sds[0] == 5e-324
+        out = apply_standardizer(s, train).features[:, 0]
+        assert out.tolist() == [-1.0, 0.0, -2.0, 1.0]
+        model = fit(train, 1, standardizer=s)
+        assert predict_one(model, [1.5e-323]) == 4.0
 
     def test_schema_mismatch(self):
         train = make_dataset([1.0, 2.0], names=("a",))
