@@ -11,6 +11,7 @@ be coded with the training file's labels.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -168,65 +169,53 @@ def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> D
         )
         books: dict[str, dict[str, int]] = {
             name: {label: code for code, label in enumerate(fixed.get(name, ()))}
-            for name in categorical
+            for name in feature_names if name in categorical
         }
-        columns: list[list[float]] = [[] for _ in feature_names]
-        target_values: list[float] = []
-        n_rows = 0
+        # (header position, name, codebook or None, codebook fixed), target last
+        columns = [(header.index(name), name, books.get(name), name in fixed)
+                   for name in [*feature_names, target_column] if name is not None]
+        values: list[list[float]] = [[] for _ in columns]
         for row_no, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise CsvFormatError(
                     f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
                 )
-            cells = dict(zip(header, row))
-            for j, name in enumerate(feature_names):
-                cell = cells[name].strip()
-                if name in categorical:
-                    if cell == "":
-                        raise CsvFormatError(
-                            f"{path}: row {row_no}, column {name!r}: missing value"
-                        )
-                    book = books[name]
-                    code = book.get(cell) if name in fixed else book.setdefault(cell, len(book))
-                    if code is None:
-                        raise CsvFormatError(
-                            f"{path}: row {row_no}, column {name!r}: label {cell!r} "
-                            "does not occur in the training data"
-                        )
-                    columns[j].append(float(code))
-                else:
-                    columns[j].append(_parse_real(path, row_no, name, cell))
-            if target_column is not None:
-                target_values.append(
-                    _parse_real(path, row_no, target_column, cells[target_column].strip())
-                )
-            n_rows += 1
-        if n_rows == 0:
+            for (pos, name, book, frozen), out in zip(columns, values):
+                try:
+                    out.append(_parse_cell(row[pos].strip(), book, frozen))
+                except CsvFormatError as err:
+                    raise CsvFormatError(f"{path}: row {row_no}, column {name!r}: {err}") from None
+        if not values[0]:
             raise CsvFormatError(f"{path}: no data rows after the header")
-    features = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-    if target_column is None:
-        target_values = np.zeros(n_rows)
+    target = values.pop() if target_column is not None else np.zeros(len(values[0]))
     return Dataset(
-        features=features,
-        target=np.asarray(target_values, dtype=np.float64),
+        features=np.column_stack(values),
+        target=target,
         column_kinds=kinds,
         column_names=tuple(feature_names),
         codebooks={name: tuple(book) for name, book in books.items()},
     )
 
 
-def _parse_real(path, row_no, name, cell) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise CsvFormatError(
-            f"{path}: row {row_no}, column {name!r}: cannot parse {cell!r} as a number"
-        ) from None
-    if not np.isfinite(value):
-        raise CsvFormatError(
-            f"{path}: row {row_no}, column {name!r}: non-finite value {cell!r}"
-        )
-    return value
+def _parse_cell(cell, book, frozen) -> float:
+    """One stripped cell: a finite real where ``book`` is None, else the
+    label's code in ``book``, which codes an unseen label next unless
+    ``frozen``. A bad cell raises CsvFormatError saying what is wrong with
+    it; the caller adds where it is."""
+    if book is None:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise CsvFormatError(f"cannot parse {cell!r} as a number") from None
+        if not math.isfinite(value):
+            raise CsvFormatError(f"non-finite value {cell!r}")
+        return value
+    if cell == "":
+        raise CsvFormatError("missing value")
+    code = book.get(cell) if frozen else book.setdefault(cell, len(book))
+    if code is None:
+        raise CsvFormatError(f"label {cell!r} does not occur in the training data")
+    return float(code)
 
 
 def load_csv(path, target_column: str, categorical_columns=()) -> Dataset:
@@ -252,22 +241,27 @@ def load_features_csv(path, categorical_columns=(), codebooks=None) -> Dataset:
 
 
 def write_csv(data: Dataset, path, target_name: str = "target") -> None:
-    """Write a Dataset back to CSV; reloading reproduces it bit-exactly.
+    """Write a Dataset back to CSV; reloading reproduces its features and
+    target bit-exactly.
 
     Reals are emitted with 17 significant digits (lossless for float64);
     categorical codes are emitted as bare integers, which first-appearance
-    coding maps back to themselves.
+    coding maps back to themselves only where each categorical column's
+    codes first appear in the order 0, 1, 2, ... Any other categorical
+    column raises ValueError naming it, and nothing is written.
     """
     if target_name in data.column_names:
         raise ValueError(f"target name {target_name!r} collides with a feature column")
+    for name, kind, col in zip(data.column_names, data.column_kinds, data.features.T):
+        debuts = list(dict.fromkeys(col.tolist())) if kind is ColumnKind.CATEGORICAL else []
+        if debuts != list(range(len(debuts))):
+            raise ValueError(f"categorical column {name!r}: codes do not first appear "
+                             "as 0, 1, 2, ..., so a reload would recode them")
     lines = [",".join([*data.column_names, target_name])]
-    for i in range(data.n_rows):
-        cells = []
-        for j, kind in enumerate(data.column_kinds):
-            v = data.features[i, j]
-            cells.append(str(int(v)) if kind is ColumnKind.CATEGORICAL else f"{v:.17g}")
-        cells.append(f"{data.target[i]:.17g}")
-        lines.append(",".join(cells))
+    for row, y in zip(data.features.tolist(), data.target.tolist()):
+        cells = [str(int(v)) if kind is ColumnKind.CATEGORICAL else f"{v:.17g}"
+                 for v, kind in zip(row, data.column_kinds)]
+        lines.append(",".join([*cells, f"{y:.17g}"]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -288,8 +282,9 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         )
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    # swap target j of step i, drawn from [0, i], for i = n-1 down to 1
+    swaps = rng.integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), swaps):
         perm[i], perm[j] = perm[j], perm[i]
     return data.take(perm[:n_train]), data.take(perm[n_train:])
 

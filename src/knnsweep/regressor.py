@@ -226,7 +226,12 @@ def unit_ball_volume(dim: int) -> float:
     try:
         return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
     except OverflowError:
-        return math.exp(dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0))
+        return math.exp(_log_unit_ball_volume(dim))
+
+
+def _log_unit_ball_volume(dim: int) -> float:
+    """log of :func:`unit_ball_volume`, which stays finite at any ``dim``."""
+    return dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0)
 
 
 def estimate_density(model: KnnModel, q) -> DensityEstimate:
@@ -277,8 +282,7 @@ def _density(model: KnnModel, radius: float) -> float:
         return model.k / (model.train.n_rows * volume)
     if radius == 0.0:
         return math.inf
-    log_volume = (dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0)
-                  + dim * math.log(radius))
+    log_volume = _log_unit_ball_volume(dim) + dim * math.log(radius)
     try:
         return math.exp(math.log(model.k / model.train.n_rows) - log_volume)
     except OverflowError:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knnsweep import (
     ColumnKind,
@@ -117,6 +119,55 @@ class TestLoadCsv:
         assert ds.column_names == ("a", "b")
         assert np.array_equal(ds.target, [0.0, 0.0])
 
+    # The first fault in row-major order is named; within a row the features
+    # come in header order and the target after them.
+    @pytest.mark.parametrize("text, categorical, codebooks, message", [
+        ("y,a,b\nabc,1,xyz\n", (), None,
+         "row 1, column 'b': cannot parse 'xyz' as a number"),
+        ("a,y\n1,2\nq,3\n4\n", (), None,
+         "row 2, column 'a': cannot parse 'q' as a number"),
+        ("c,n,y\nr,1,1\n ,inf,2\n", ("c",), None,
+         "row 2, column 'c': missing value"),
+        ("n,c,y\n1,r,1\n-inf, ,2\n", ("c",), None,
+         "row 2, column 'n': non-finite value '-inf'"),
+        ("c,n\na,1\nz,nan\n", ("c",), {"c": ("a", "b")},
+         "row 2, column 'c': label 'z' does not occur in the training data"),
+    ])
+    def test_first_fault_message_is_pinned(self, tmp_path, text, categorical, codebooks, message):
+        p = _write(tmp_path, text)
+        with pytest.raises(CsvFormatError) as err:
+            if codebooks is None:
+                load_csv(p, "y", categorical_columns=categorical)
+            else:
+                load_features_csv(p, categorical_columns=categorical, codebooks=codebooks)
+        assert str(err.value) == f"{p}: {message}"
+
+
+@st.composite
+def _real_cells(draw):
+    """A float written by repr or %.17g, with optional `_` separators
+    between digits and whitespace padding on both sides."""
+    value = draw(st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308]))
+    text = repr(value) if draw(st.booleans()) else "%.17g" % value
+    gaps = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    for i in sorted(draw(st.sets(st.sampled_from(gaps))) if gaps else (), reverse=True):
+        text = text[:i] + "_" + text[i:]
+    pad = st.text(alphabet=" \t\xa0\u2003", max_size=3)
+    return draw(pad) + text + draw(pad)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.tuples(_real_cells(), _real_cells()), min_size=1, max_size=12))
+def test_loaded_reals_are_float_of_the_stripped_cell(tmp_path_factory, rows):
+    p = tmp_path_factory.mktemp("reals") / "data.csv"
+    p.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in rows), encoding="utf-8")
+    ds = load_csv(p, "y")
+    want_x = np.array([float(x.strip()) for x, _ in rows])
+    want_y = np.array([float(y.strip()) for _, y in rows])
+    assert ds.features[:, 0].tobytes() == want_x.tobytes()
+    assert ds.target.tobytes() == want_y.tobytes()
+
 
 class TestRoundTrip:
     def test_numeric_and_categorical_bit_exact(self, tmp_path):
@@ -155,6 +206,14 @@ class TestRoundTrip:
         back = load_csv(out, "y")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.target, ds.target)
+
+    def test_codes_out_of_debut_order_are_refused(self, tmp_path):
+        # reloading would code [1, 0, 1] as [0, 1, 0]
+        ds = make_dataset([1.0, 0.0, 1.0], kinds=(ColumnKind.CATEGORICAL,), names=("cat",))
+        out = tmp_path / "codes.csv"
+        with pytest.raises(ValueError, match="categorical column 'cat'"):
+            write_csv(ds, out, target_name="y")
+        assert not out.exists()
 
     def test_target_name_collision(self, tmp_path):
         ds = make_dataset([1.0, 2.0], names=("y",))
@@ -237,6 +296,20 @@ class TestSplit:
             assert train.n_rows + test.n_rows == n
             seen = sorted(train.target.tolist() + test.target.tolist())
             assert seen == list(range(n))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 3000), seed=st.integers(0, 2**64 - 1))
+    @example(n=100_001, seed=2**63 + 5)
+    def test_shuffle_matches_the_per_step_fisher_yates(self, n, seed):
+        # oracle: one rng.integers call per swap, from i = n-1 down to 1
+        rng = np.random.Generator(np.random.PCG64(seed))
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = int(rng.integers(0, i + 1))
+            perm[i], perm[j] = perm[j], perm[i]
+        ds = make_dataset(np.arange(float(n)), target=np.arange(float(n)))
+        train, test = split(ds, SplitSpec(train_fraction=0.5, seed=seed))
+        assert train.target.tolist() + test.target.tolist() == perm
 
     @pytest.mark.parametrize("frac", [0.0, 1.0, -0.5, 1.5])
     def test_invalid_fraction(self, frac):
