@@ -6,6 +6,10 @@ assigned in first-appearance order at load time, so repeated loads of the
 same file are deterministic without any global label dictionary. The
 Dataset carries each categorical column's codebook, so a query file can
 be coded with the training file's labels.
+
+CSV files are parsed a chunk of rows at a time, one column after another;
+only a chunk with a fault is parsed cell by cell, in row order, so that
+the first fault is the one reported.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +137,21 @@ class SplitSpec:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
+# Rows read and parsed at a time; while a chunk is parsed its cells are
+# held as strings, one list per row and one tuple per column.
+_CHUNK_ROWS = 1024
+
+
 def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> Dataset:
     """Shared CSV parser. target_column=None loads a feature-only file,
     whose target is all zeros. A categorical column named in ``codebooks``
     is coded with that codebook; its other columns code labels in
-    first-appearance order."""
+    first-appearance order.
+
+    Rows are parsed ``_CHUNK_ROWS`` at a time, column by column
+    (``_parse_chunk``); a chunk that has any fault goes through the
+    per-cell loop (``_parse_rows``) instead, which names the first fault
+    in row-major order. Both give the same values and codes."""
     categorical = set(categorical_columns)
     fixed = dict(codebooks or {})
     if target_column is not None and target_column in categorical:
@@ -174,19 +189,18 @@ def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> D
         # (header position, name, codebook or None, codebook fixed), target last
         columns = [(header.index(name), name, books.get(name), name in fixed)
                    for name in [*feature_names, target_column] if name is not None]
-        values: list[list[float]] = [[] for _ in columns]
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                )
-            for (pos, name, book, frozen), out in zip(columns, values):
-                try:
-                    out.append(_parse_cell(row[pos].strip(), book, frozen))
-                except CsvFormatError as err:
-                    raise CsvFormatError(f"{path}: row {row_no}, column {name!r}: {err}") from None
-        if not values[0]:
+        parts: list[list[np.ndarray]] = [[] for _ in columns]
+        row_no = 1
+        for rows in _row_chunks(reader):
+            chunk = _parse_chunk(rows, len(header), columns)
+            if chunk is None:
+                chunk = _parse_rows(path, rows, row_no, len(header), columns)
+            for part, col in zip(parts, chunk):
+                part.append(col)
+            row_no += len(rows)
+        if not parts[0]:
             raise CsvFormatError(f"{path}: no data rows after the header")
+    values = [np.concatenate(part) for part in parts]
     target = values.pop() if target_column is not None else np.zeros(len(values[0]))
     return Dataset(
         features=np.column_stack(values),
@@ -195,6 +209,71 @@ def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> D
         column_names=tuple(feature_names),
         codebooks={name: tuple(book) for name, book in books.items()},
     )
+
+
+def _row_chunks(reader):
+    """The reader's rows, ``_CHUNK_ROWS`` at a time. Where the reader fails
+    (a csv.Error, an undecodable byte), the rows read before the failure
+    come first as a chunk of their own, so a bad cell in them is still the
+    first error raised, as when rows were parsed one by one."""
+    while True:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(islice(reader, _CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
+            if rows:
+                yield rows
+            raise
+        if not rows:
+            return
+        yield rows
+
+
+def _parse_chunk(rows, width, columns) -> list[np.ndarray] | None:
+    """One column array per entry of ``columns``, or None where the chunk
+    needs the per-cell loop: a ragged row, a cell ``float`` rejects, a
+    non-finite value, or a bad categorical cell.
+
+    A numeric column is ``float`` of each unstripped cell. Where that
+    succeeds it equals ``float(cell.strip())``: the whitespace ``float``
+    skips around a number is a subset of what ``str.strip`` removes. The
+    exceptions, \\x1c-\\x1f, which only ``strip`` removes, make ``float``
+    fail, so such a chunk takes the per-cell loop. Categorical cells go
+    through ``_parse_cell`` one column at a time, so each codebook sees its
+    own column in row order, as in the per-cell loop; labels coded here
+    before the chunk is given up get the same codes again there."""
+    if set(map(len, rows)) != {width}:
+        return None
+    cells = list(zip(*rows))
+    out = []
+    try:
+        for pos, _, book, frozen in columns:
+            if book is None:
+                col = np.array(list(map(float, cells[pos])))
+                if not np.isfinite(col).all():
+                    return None
+            else:
+                col = np.array([_parse_cell(cell.strip(), book, frozen) for cell in cells[pos]])
+            out.append(col)
+    except ValueError:  # float's, or a CsvFormatError from _parse_cell
+        return None
+    return out
+
+
+def _parse_rows(path, rows, first_row_no, width, columns) -> list[np.ndarray]:
+    """The per-cell loop over one chunk, in row-major order, and the only
+    code that raises a row or cell CsvFormatError: the first fault names
+    its row and column."""
+    values: list[list[float]] = [[] for _ in columns]
+    for row_no, row in enumerate(rows, start=first_row_no):
+        if len(row) != width:
+            raise CsvFormatError(f"{path}: row {row_no} has {len(row)} cells, expected {width}")
+        for (pos, name, book, frozen), out in zip(columns, values):
+            try:
+                out.append(_parse_cell(row[pos].strip(), book, frozen))
+            except CsvFormatError as err:
+                raise CsvFormatError(f"{path}: row {row_no}, column {name!r}: {err}") from None
+    return [np.array(out) for out in values]
 
 
 def _parse_cell(cell, book, frozen) -> float:
@@ -225,6 +304,12 @@ def load_csv(path, target_column: str, categorical_columns=()) -> Dataset:
     ``categorical_columns``, in which case its labels are mapped to dense
     integer codes in first-appearance order. Missing and non-finite cells
     are rejected with the offending row and column named.
+
+    Rows are parsed 1024 at a time. In a chunk without faults each numeric
+    column is ``float`` of every raw cell, which equals ``float`` of the
+    stripped cell wherever it succeeds; any chunk ``float`` cannot take
+    whole (a fault, or \\x1c-\\x1f padding that only ``str.strip``
+    removes) is parsed cell by cell, which also names the first fault.
     """
     return _read_dataset(path, target_column, categorical_columns)
 
@@ -244,25 +329,47 @@ def write_csv(data: Dataset, path, target_name: str = "target") -> None:
     """Write a Dataset back to CSV; reloading reproduces its features and
     target bit-exactly.
 
-    Reals are emitted with 17 significant digits (lossless for float64);
-    categorical codes are emitted as bare integers, which first-appearance
-    coding maps back to themselves only where each categorical column's
+    Reals are emitted with 17 significant digits (lossless for float64).
+    A categorical column with a codebook entry is emitted as its labels,
+    quoted by CSV rules where they hold a comma, quote or line break, so a
+    reload gives back the codebook (less any labels no row uses); one
+    without is emitted as bare integer codes. First-appearance coding maps
+    either back to the same codes only where each categorical column's
     codes first appear in the order 0, 1, 2, ... Any other categorical
-    column raises ValueError naming it, and nothing is written.
+    column, and a label that a reload would not give back (empty, with
+    whitespace around it, repeated, or missing for a code), raises
+    ValueError naming the column, and nothing is written.
     """
     if target_name in data.column_names:
         raise ValueError(f"target name {target_name!r} collides with a feature column")
+    cell_text: list[tuple[str, ...] | None] = []
     for name, kind, col in zip(data.column_names, data.column_kinds, data.features.T):
         debuts = list(dict.fromkeys(col.tolist())) if kind is ColumnKind.CATEGORICAL else []
         if debuts != list(range(len(debuts))):
             raise ValueError(f"categorical column {name!r}: codes do not first appear "
                              "as 0, 1, 2, ..., so a reload would recode them")
+        labels = data.codebooks.get(name)
+        if labels is not None and (
+                len(labels) < len(debuts) or len(set(labels)) < len(labels)
+                or any(label == "" or label != label.strip() for label in labels)):
+            raise ValueError(f"categorical column {name!r}: its codebook has labels that "
+                             "a reload would not give back")
+        cell_text.append(None if labels is None else tuple(map(_csv_field, labels)))
     lines = [",".join([*data.column_names, target_name])]
     for row, y in zip(data.features.tolist(), data.target.tolist()):
-        cells = [str(int(v)) if kind is ColumnKind.CATEGORICAL else f"{v:.17g}"
-                 for v, kind in zip(row, data.column_kinds)]
+        cells = [f"{v:.17g}" if kind is ColumnKind.NUMERIC
+                 else str(int(v)) if text is None else text[int(v)]
+                 for v, kind, text in zip(row, data.column_kinds, cell_text)]
         lines.append(",".join([*cells, f"{y:.17g}"]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _csv_field(label: str) -> str:
+    """``label`` as one CSV field: in double quotes, with its quotes
+    doubled, where it holds a comma, a quote or a line break."""
+    if any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

@@ -1,8 +1,14 @@
+import csv
+import io
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knnsweep import dataset
 from knnsweep import (
     ColumnKind,
     CsvFormatError,
@@ -143,6 +149,11 @@ class TestLoadCsv:
         assert str(err.value) == f"{p}: {message}"
 
 
+# \x1c-\x1f are the padding that str.strip removes and float rejects: a
+# chunk holding one takes the per-cell loop.
+FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
+
+
 @st.composite
 def _real_cells(draw):
     """A float written by repr or %.17g, with optional `_` separators
@@ -153,20 +164,165 @@ def _real_cells(draw):
     gaps = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
     for i in sorted(draw(st.sets(st.sampled_from(gaps))) if gaps else (), reverse=True):
         text = text[:i] + "_" + text[i:]
-    pad = st.text(alphabet=" \t\xa0\u2003", max_size=3)
+    pad = st.text(alphabet=" \t\xa0\u2003\v\f\x85\u3000" + FLOAT_REJECTS, max_size=3)
     return draw(pad) + text + draw(pad)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(rows=st.lists(st.tuples(_real_cells(), _real_cells()), min_size=1, max_size=12))
-def test_loaded_reals_are_float_of_the_stripped_cell(tmp_path_factory, rows):
+@given(rows=st.lists(st.tuples(_real_cells(), _real_cells()), min_size=1, max_size=12),
+       chunk_rows=st.integers(1, 3))
+@example(rows=[("\x1c1.5", "2"), ("\v-0.0\u3000", "\x855e-324")], chunk_rows=1)
+def test_loaded_reals_are_float_of_the_stripped_cell(tmp_path_factory, rows, chunk_rows):
     p = tmp_path_factory.mktemp("reals") / "data.csv"
     p.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in rows), encoding="utf-8")
-    ds = load_csv(p, "y")
+    with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(dataset, "_parse_rows", wraps=dataset._parse_rows) as per_cell:
+        ds = load_csv(p, "y")
     want_x = np.array([float(x.strip()) for x, _ in rows])
     want_y = np.array([float(y.strip()) for _, y in rows])
     assert ds.features[:, 0].tobytes() == want_x.tobytes()
     assert ds.target.tobytes() == want_y.tobytes()
+    # exactly the chunks holding a cell that float rejects took the per-cell loop
+    chunks = [rows[i:i + chunk_rows] for i in range(0, len(rows), chunk_rows)]
+    assert per_cell.call_count == sum(any(c in FLOAT_REJECTS for row in chunk for c in "".join(row))
+                                      for chunk in chunks)
+
+
+def _text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+class TestChunks:
+    """Files parsed with ``_CHUNK_ROWS`` patched to 1-3, so that rows,
+    faults and codebooks cross chunk edges."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def chunk_rows(self, request, monkeypatch):
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", request.param)
+        return request.param
+
+    def test_first_fault_in_a_later_chunk_is_pinned(self, tmp_path, chunk_rows):
+        # row 4 only parses after strip; row 6 holds the first fault, row 7 a later one
+        p = _write(tmp_path, "a,c,y\n1,r,1\n2,s,2\n3,r,3\n\x1c4,t,4\n5,s,5\n6, ,nan\n7,r\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(p, "y", categorical_columns={"c"})
+        assert str(err.value) == f"{p}: row 6, column 'c': missing value"
+
+    def test_ragged_row_opening_a_chunk(self, tmp_path, chunk_rows):
+        rows = [[str(i), str(i)] for i in range(1, chunk_rows + 1)]
+        p = _write(tmp_path, _text([["a", "y"], *rows, ["1"], ["x", "2"]]))
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(p, "y")
+        assert str(err.value) == f"{p}: row {chunk_rows + 1} has 1 cells, expected 2"
+
+    def test_codes_continue_across_chunks(self, tmp_path, chunk_rows):
+        p = _write(tmp_path, "c,d,y\nb,x,1\na,x,2\nb,y,3\nc,z,4\na,y,5\nd,x,6\n")
+        ds = load_csv(p, "y", categorical_columns={"c", "d"})
+        assert ds.features.tolist() == [[0, 0], [1, 0], [0, 1], [2, 2], [1, 1], [3, 0]]
+        assert ds.codebooks == {"c": ("b", "a", "c", "d"), "d": ("x", "y", "z")}
+        q = _write(tmp_path, "c,d\nd,z\nc,y\nb,x\na,x\n", "q.csv")
+        query = load_features_csv(q, categorical_columns={"c", "d"}, codebooks=ds.codebooks)
+        assert query.features.tolist() == [[3, 2], [2, 1], [0, 0], [1, 0]]
+        assert query.codebooks == ds.codebooks
+        unseen = _write(tmp_path, "c,d\nd,z\nc,y\nb,x\na,w\n", "unseen.csv")
+        with pytest.raises(CsvFormatError) as err:
+            load_features_csv(unseen, categorical_columns={"c", "d"}, codebooks=ds.codebooks)
+        assert str(err.value) == (f"{unseen}: row 4, column 'd': "
+                                  "label 'w' does not occur in the training data")
+
+    def test_fault_before_an_undecodable_byte_is_reported_first(self, tmp_path):
+        # default chunks: the bad byte is decoded more than 8 KiB after row 2,
+        # within the first chunk
+        body = b"a,y\n1,1\nq,2\n" + b"3.25,3.5\n" * 1000
+        p = tmp_path / "bytes.csv"
+        p.write_bytes(body + b"\xff,4\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(p, "y")
+        assert str(err.value) == f"{p}: row 2, column 'a': cannot parse 'q' as a number"
+        p.write_bytes(body.replace(b"q", b"2") + b"\xff,4\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_csv(p, "y")
+
+    def test_header_only_file(self, tmp_path, chunk_rows):
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            load_csv(_write(tmp_path, "a,y\n"), "y")
+
+
+def _per_cell_reference(path, target, categorical, codebooks):
+    """The row-major per-cell loader, written out: (features, target,
+    codebooks) of a file, or the CsvFormatError message of its first fault."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    header = [h.strip() for h in header]
+    names = [h for h in header if h != target]
+    books = {name: {label: code for code, label in enumerate(codebooks.get(name, ()))}
+             for name in names if name in categorical}
+    values = {name: [] for name in header}
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            return f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+        for name in [*names, target] if target else names:
+            cell = row[header.index(name)].strip()
+            where = f"{path}: row {row_no}, column {name!r}: "
+            if name not in books:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    return where + f"cannot parse {cell!r} as a number"
+                if not math.isfinite(value):
+                    return where + f"non-finite value {cell!r}"
+                values[name].append(value)
+            elif cell == "":
+                return where + "missing value"
+            elif name in codebooks and cell not in books[name]:
+                return where + f"label {cell!r} does not occur in the training data"
+            else:
+                values[name].append(float(books[name].setdefault(cell, len(books[name]))))
+    if not rows:
+        return f"{path}: no data rows after the header"
+    features = np.array([values[name] for name in names]).T
+    target_values = np.array(values[target]) if target else np.zeros(len(rows))
+    return features.tobytes(), target_values.tobytes(), {n: tuple(b) for n, b in books.items()}
+
+
+REALS = st.sampled_from(["1", " -2.5 ", "3e2", "1_0", "\x1d7", "8\x1e", "\u30001\xa0"])
+LABELS = st.sampled_from(["a", " b", "c\nd", "1", "\x1fa"])
+FAULTS = st.sampled_from(["", " ", "nan", "-inf", "1e999", "0x1", '"q"', "z"])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(0, 9), chunk_rows=st.integers(1, 3))
+def test_chunked_loader_equals_the_per_cell_reference(tmp_path_factory, data, n, chunk_rows):
+    header = ["a", "b", "y"]
+    categorical = data.draw(st.sets(st.sampled_from(["a", "b"])))
+    rows = [[data.draw(LABELS if name in categorical else REALS) for name in header]
+            for _ in range(n)]
+    # up to two faulty cells and one ragged row, anywhere
+    for i, j, cell in data.draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2),
+                                                   FAULTS), max_size=2)):
+        if i < n:
+            rows[i][j] = cell
+    ragged = data.draw(st.sampled_from([None, None, *range(n)]))
+    if ragged is not None:
+        rows[ragged] = rows[ragged][:data.draw(st.sampled_from([1, 2]))] or rows[ragged] + ["1"]
+    frozen = data.draw(st.booleans())
+    codebooks = {name: ("c\nd", "a", "b", "1") for name in categorical} if frozen else {}
+    target = None if frozen else "y"
+    p = tmp_path_factory.mktemp("chunks") / "data.csv"
+    p.write_text(_text([header, *rows]), encoding="utf-8")
+    want = _per_cell_reference(p, target, categorical, codebooks)
+    with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
+        try:
+            if frozen:
+                ds = load_features_csv(p, categorical_columns=categorical, codebooks=codebooks)
+            else:
+                ds = load_csv(p, "y", categorical_columns=categorical)
+        except CsvFormatError as err:
+            assert str(err) == want
+            return
+    assert (ds.features.tobytes(), ds.target.tobytes(), ds.codebooks) == want
 
 
 class TestRoundTrip:
@@ -212,6 +368,42 @@ class TestRoundTrip:
         ds = make_dataset([1.0, 0.0, 1.0], kinds=(ColumnKind.CATEGORICAL,), names=("cat",))
         out = tmp_path / "codes.csv"
         with pytest.raises(ValueError, match="categorical column 'cat'"):
+            write_csv(ds, out, target_name="y")
+        assert not out.exists()
+
+    def test_labels_and_codebook_survive(self, tmp_path):
+        ds = load_csv(_write(tmp_path, "c,x,y\nb,1,1\na,2,2\n"), "y", categorical_columns={"c"})
+        out = tmp_path / "out.csv"
+        write_csv(ds, out, target_name="y")
+        back = load_csv(out, "y", categorical_columns={"c"})
+        assert back.codebooks == {"c": ("b", "a")}
+        assert back.features.tobytes() == ds.features.tobytes()
+        q = _write(tmp_path, "c,x\na,0\nb,0\n", "q.csv")
+        query = load_features_csv(q, categorical_columns={"c"}, codebooks=back.codebooks)
+        assert query.features[:, 0].tolist() == [1.0, 0.0]
+
+    def test_labels_are_quoted_by_csv_rules(self, tmp_path):
+        labels = ("x,y", 'say "hi"', "two\nlines", "cr\rhere", "1.5")
+        ds = Dataset(features=np.array([[0.0, 0.5], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0],
+                                        [4.0, 5.0], [1.0, 6.0]]),
+                     target=np.arange(6.0),
+                     column_kinds=(ColumnKind.CATEGORICAL, ColumnKind.NUMERIC),
+                     column_names=("c", "n"), codebooks={"c": labels})
+        out = tmp_path / "quoted.csv"
+        write_csv(ds, out, target_name="y")
+        assert out.read_text(encoding="utf-8").startswith('c,n,y\n"x,y",0.5,0\n"say ""hi""",2,1\n')
+        back = load_csv(out, "y", categorical_columns={"c"})
+        assert back.codebooks == {"c": labels}
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.target.tobytes() == ds.target.tobytes()
+
+    @pytest.mark.parametrize("labels", [("a", ""), ("a", " b"), ("a\t", "b"), ("a", "a"), ("a",)])
+    def test_labels_a_reload_would_not_give_back_are_refused(self, tmp_path, labels):
+        ds = Dataset(features=np.array([[0.0], [1.0]]), target=np.zeros(2),
+                     column_kinds=(ColumnKind.CATEGORICAL,), column_names=("c",),
+                     codebooks={"c": labels})
+        out = tmp_path / "labels.csv"
+        with pytest.raises(ValueError, match="categorical column 'c'"):
             write_csv(ds, out, target_name="y")
         assert not out.exists()
 

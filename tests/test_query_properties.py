@@ -4,10 +4,13 @@
 returns for each row alone, and ``predict`` must equal the scalar oracle
 ``predict_from_neighbors`` applied to each row's own neighbor list. Inputs
 come from small grids so that duplicated rows, distance ties, queries that
-copy training rows (the exact-match rule), -0.0 targets and subnormal
-coordinates all occur, along with m = 0, d = 1 and k = n. Derandomized and
-capped at a few examples per case.
+copy training rows (the exact-match rule), -0.0 targets, subnormal
+coordinates and coordinates near the float limit (distances that overflow
+to inf) all occur, along with m = 0, n = 1, d = 1 and k = n. Derandomized
+and capped at a few examples per case.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -56,7 +59,7 @@ def query_cases(draw, categorical=False):
     # a query row is either a copy of a training row or a fresh grid point
     queries = draw(st.lists(st.one_of(st.sampled_from(rows),
                                       st.lists(codes, min_size=d, max_size=d)), max_size=5))
-    scale = 1.0 if categorical else draw(st.sampled_from([1.0, 0.37, 1e-308, 5e-324]))
+    scale = 1.0 if categorical else draw(st.sampled_from([1.0, 0.37, 1e-308, 5e-324, 8e307]))
     kind = ColumnKind.CATEGORICAL if categorical else ColumnKind.NUMERIC
     train = _dataset(np.array(rows) * scale, draw(st.lists(TARGETS, min_size=n, max_size=n)),
                      kind)
@@ -74,6 +77,16 @@ PINNED_SUBNORMAL = (_dataset(np.array([[0, 0], [1, 0], [1, 0], [2, 1]]) * 5e-324
                     _dataset(np.array([[1, 0], [0, 1], [2, 2]]) * 5e-324, [0.0] * 3), 3)
 # No query rows at all.
 PINNED_EMPTY = (_dataset([0.0, 1.0], [1.0, 2.0]), _dataset(np.zeros((0, 1)), []), 2)
+# n = 1, d = 1 and k = n, with a query near the float limit.
+PINNED_ONE_ROW = (_dataset([2.5], [-0.0]), _dataset([2.5, -1.0, 1.7e308], [0.0] * 3), 1)
+# Coordinates near +-1.7e308: every distance from the origin query
+# overflows to inf, so inverse weighting has no defined weights there.
+PINNED_OVERFLOW = (_dataset([[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [1e308, 0.0]],
+                            [1.0, 2.0, 3.0]),
+                   _dataset([[-1.7e308, -1.7e308], [1e308, 1.0], [0.0, 0.0]], [0.0] * 3), 3)
+# Categorical codes, n = 1 and k = n.
+PINNED_CATEGORICAL = (_dataset([[2.0, 0.0]], [1.5], ColumnKind.CATEGORICAL),
+                      _dataset([[2.0, 0.0], [1.0, 0.0]], [0.0] * 2, ColumnKind.CATEGORICAL), 1)
 
 
 def _assert_matrix_rows_equal_vector_queries(case, metric, backend):
@@ -90,13 +103,19 @@ def _assert_matrix_rows_equal_vector_queries(case, metric, backend):
 def _assert_predict_equals_scalar_oracle(case, metric, backend, weighting):
     train, queries, k = case
     model = fit(train, k=k, metric=metric, weighting=weighting, backend=backend)
+    expected = []
+    for q in queries.features:
+        ns = model.index.query(q, k)
+        try:
+            expected.append(repr(predict_from_neighbors(train.target[ns.indices].tolist(),
+                                                        ns.distances.tolist(), weighting)))
+        except ValueError as err:  # every neighbor distance is inf
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                predict(model, queries)
+            return
     preds = predict(model, queries)
     assert preds.shape == (queries.n_rows,)
-    for i, q in enumerate(queries.features):
-        ns = model.index.query(q, k)
-        expected = predict_from_neighbors(train.target[ns.indices].tolist(),
-                                          ns.distances.tolist(), weighting)
-        assert repr(preds[i].item()) == repr(expected)
+    assert [repr(p) for p in preds.tolist()] == expected
 
 
 @pytest.mark.parametrize("metric, backend", NUMERIC_CASES)
@@ -105,12 +124,15 @@ def _assert_predict_equals_scalar_oracle(case, metric, backend, weighting):
 @example(case=PINNED)
 @example(case=PINNED_SUBNORMAL)
 @example(case=PINNED_EMPTY)
+@example(case=PINNED_ONE_ROW)
+@example(case=PINNED_OVERFLOW)
 def test_matrix_query_rows_equal_vector_queries(case, metric, backend):
     _assert_matrix_rows_equal_vector_queries(case, metric, backend)
 
 
 @PROPERTY_SETTINGS
 @given(case=query_cases(categorical=True))
+@example(case=PINNED_CATEGORICAL)
 def test_hamming_matrix_query_rows_equal_vector_queries(case):
     _assert_matrix_rows_equal_vector_queries(case, *HAMMING_CASE)
 
@@ -122,6 +144,8 @@ def test_hamming_matrix_query_rows_equal_vector_queries(case):
 @example(case=PINNED)
 @example(case=PINNED_SUBNORMAL)
 @example(case=PINNED_EMPTY)
+@example(case=PINNED_ONE_ROW)
+@example(case=PINNED_OVERFLOW)
 def test_predict_rows_equal_scalar_oracle(case, metric, backend, weighting):
     _assert_predict_equals_scalar_oracle(case, metric, backend, weighting)
 
@@ -129,5 +153,6 @@ def test_predict_rows_equal_scalar_oracle(case, metric, backend, weighting):
 @pytest.mark.parametrize("weighting", list(WeightingMode))
 @PROPERTY_SETTINGS
 @given(case=query_cases(categorical=True))
+@example(case=PINNED_CATEGORICAL)
 def test_hamming_predict_rows_equal_scalar_oracle(case, weighting):
     _assert_predict_equals_scalar_oracle(case, *HAMMING_CASE, weighting)

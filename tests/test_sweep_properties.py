@@ -3,9 +3,9 @@
 The sweep computes all k at once from running sums; the oracle refits the
 model for each k and scores it with the scalar ``report``. Inputs are drawn
 from small grids so that duplicated rows, distance ties, test rows that
-copy training rows (the exact-match rule), -0.0 targets and subnormal
-distances (weights 1/d that overflow) all occur. Derandomized and capped at
-about 50 examples in total.
+copy training rows (the exact-match rule), -0.0 targets, subnormal
+distances (weights 1/d that overflow) and values near the float limit all
+occur. Derandomized and capped at about 50 examples in total.
 """
 
 import numpy as np
@@ -78,6 +78,10 @@ PINNED = (_dataset([0.0, 0.0, 1.0, 1.0, 3.0, 3.0, 0.0, 1.0],
 PINNED_SUBNORMAL = (_dataset(np.array([[0, 0], [1, 0], [1, 0], [2, 1], [0, 1], [1, 0],
                                        [2, 1], [0, 0]]) * 5e-324,
                              [1.0, -0.0, 3.0, 2.0, -1.0, 0.5, 2.0, -0.0]), 0.5, 2, 4, False)
+# Standardized columns near +-1.7e308, whose squared deviations overflow; k_max = n_train.
+PINNED_OVERFLOW = (_dataset([[1.7e308, 1.0], [-1.7e308, 2.0], [1.6e308, 1.0], [-1e308, 0.0],
+                             [0.0, 1.0], [1.7e308, 2.0]],
+                            [1.0, 2.0, -0.0, 4.0, 5.0, 6.0]), 0.5, 1, 3, True)
 
 
 def _assert_rows_match_refits(case, metric, weighting, backend):
@@ -108,6 +112,7 @@ def _assert_rows_match_refits(case, metric, weighting, backend):
 @given(case=sweep_cases())
 @example(case=PINNED)
 @example(case=PINNED_SUBNORMAL)
+@example(case=PINNED_OVERFLOW)
 def test_sweep_rows_equal_per_k_refits(case, metric, weighting, backend):
     _assert_rows_match_refits(case, metric, weighting, backend)
 
