@@ -12,17 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-from .dataset import SplitSpec, fit_standardizer, load_csv, load_features_csv
+from .dataset import SplitSpec, load_csv, load_features_csv
 from .distance import DistanceMetric
 from .neighbors import SearchBackend
 from .regressor import WeightingMode, estimate_densities, fit, predict
 from .sweep import SweepConfig, emit_chart, emit_table, run_sweep
 
-_METRICS = {
-    "euclidean": DistanceMetric.EUCLIDEAN,
-    "manhattan": DistanceMetric.MANHATTAN,
-    "hamming": DistanceMetric.HAMMING,
-}
+_METRICS = {m.value: m for m in DistanceMetric}
 _WEIGHTINGS = {
     "uniform": WeightingMode.UNIFORM,
     "inverse": WeightingMode.INVERSE_DISTANCE,
@@ -153,14 +149,13 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     train = load_csv(args.train, args.target, args.categorical)
-    scaler = None if args.no_standardize else fit_standardizer(train)
     model = fit(
         train,
         k=args.k,
         metric=_METRICS[args.metric],
         weighting=_WEIGHTINGS[args.weighting],
         backend=_BACKENDS[args.backend],
-        standardizer=scaler,
+        standardize=not args.no_standardize,
     )
     queries = load_features_csv(args.query, args.categorical, train.codebooks)
     preds = predict(model, queries)

@@ -6,10 +6,6 @@ assigned in first-appearance order at load time, so repeated loads of the
 same file are deterministic without any global label dictionary. The
 Dataset carries each categorical column's codebook, so a query file can
 be coded with the training file's labels.
-
-CSV files are parsed a chunk of rows at a time, one column after another;
-only a chunk with a fault is parsed cell by cell, in row order, so that
-the first fault is the one reported.
 """
 
 from __future__ import annotations
@@ -304,12 +300,6 @@ def load_csv(path, target_column: str, categorical_columns=()) -> Dataset:
     ``categorical_columns``, in which case its labels are mapped to dense
     integer codes in first-appearance order. Missing and non-finite cells
     are rejected with the offending row and column named.
-
-    Rows are parsed 1024 at a time. In a chunk without faults each numeric
-    column is ``float`` of every raw cell, which equals ``float`` of the
-    stripped cell wherever it succeeds; any chunk ``float`` cannot take
-    whole (a fault, or \\x1c-\\x1f padding that only ``str.strip``
-    removes) is parsed cell by cell, which also names the first fault.
     """
     return _read_dataset(path, target_column, categorical_columns)
 
@@ -330,18 +320,23 @@ def write_csv(data: Dataset, path, target_name: str = "target") -> None:
     target bit-exactly.
 
     Reals are emitted with 17 significant digits (lossless for float64).
-    A categorical column with a codebook entry is emitted as its labels,
-    quoted by CSV rules where they hold a comma, quote or line break, so a
-    reload gives back the codebook (less any labels no row uses); one
-    without is emitted as bare integer codes. First-appearance coding maps
-    either back to the same codes only where each categorical column's
-    codes first appear in the order 0, 1, 2, ... Any other categorical
-    column, and a label that a reload would not give back (empty, with
-    whitespace around it, repeated, or missing for a code), raises
-    ValueError naming the column, and nothing is written.
+    Names and labels are quoted by CSV rules where they hold a comma, quote
+    or line break. A categorical column with a codebook entry is emitted as
+    its labels, so a reload gives back the codebook (less any labels no row
+    uses); one without is emitted as bare integer codes. First-appearance
+    coding maps either back to the same codes only where each categorical
+    column's codes first appear in the order 0, 1, 2, ... Any other
+    categorical column, and a name or label that a reload would not give
+    back (with whitespace around it, repeated, or an empty or missing
+    label), raises ValueError naming the column, and nothing is written.
     """
     if target_name in data.column_names:
         raise ValueError(f"target name {target_name!r} collides with a feature column")
+    names = [*data.column_names, target_name]
+    for i, name in enumerate(names):
+        if name != name.strip() or name in names[:i]:
+            raise ValueError(f"column {name!r}: a reload would not give back its name "
+                             "(whitespace around it, or repeated)")
     cell_text: list[tuple[str, ...] | None] = []
     for name, kind, col in zip(data.column_names, data.column_kinds, data.features.T):
         debuts = list(dict.fromkeys(col.tolist())) if kind is ColumnKind.CATEGORICAL else []
@@ -355,7 +350,7 @@ def write_csv(data: Dataset, path, target_name: str = "target") -> None:
             raise ValueError(f"categorical column {name!r}: its codebook has labels that "
                              "a reload would not give back")
         cell_text.append(None if labels is None else tuple(map(_csv_field, labels)))
-    lines = [",".join([*data.column_names, target_name])]
+    lines = [",".join(map(_csv_field, names))]
     for row, y in zip(data.features.tolist(), data.target.tolist()):
         cells = [f"{v:.17g}" if kind is ColumnKind.NUMERIC
                  else str(int(v)) if text is None else text[int(v)]
@@ -364,12 +359,12 @@ def write_csv(data: Dataset, path, target_name: str = "target") -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _csv_field(label: str) -> str:
-    """``label`` as one CSV field: in double quotes, with its quotes
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: in double quotes, with its quotes
     doubled, where it holds a comma, a quote or a line break."""
-    if any(c in label for c in ',"\r\n'):
-        return '"' + label.replace('"', '""') + '"'
-    return label
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

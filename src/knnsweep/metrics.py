@@ -10,7 +10,7 @@ bit-determinism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,16 +35,8 @@ class MetricReport:
     sst: float
 
     def as_dict(self) -> dict:
-        """JSON-ready mapping; undefined R² serializes as null."""
-        return {
-            "n": self.n,
-            "sse": self.sse,
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "r_squared": self.r_squared,
-            "ssr": self.ssr,
-            "sst": self.sst,
-        }
+        """JSON-ready mapping in field order; undefined R² serializes as null."""
+        return asdict(self)
 
 
 def _as_list(v, name: str) -> list[float]:

@@ -3,7 +3,12 @@
 Two backends: a brute-force scan (the reference) and a kd-tree. Both
 return bit-identical results: neighbors are ordered by the total order
 (distance, row index), so equal distances resolve to the lower index and
-the outcome does not depend on the backend or traversal schedule.
+the outcome does not depend on the backend or traversal schedule. The
+distance ranked is that of the scalar functions in :mod:`knnsweep.distance`;
+euclidean ranks by ``squared_euclidean`` and takes the root only in the
+result, so rows whose distances round to the same root keep their squared
+order: from (0, 0), rows (1, 2^-26) and (1, 0) are both at 1.0, and k = 1
+returns row 1.
 
 Why the kd-tree's pruning is exact. IEEE subtraction, squaring, abs and
 addition are monotone: a <= b implies fl(a - c) <= fl(b - c),
@@ -11,9 +16,9 @@ fl(c - b) <= fl(c - a), fl(a * a) <= fl(b * b) for 0 <= a, and
 fl(a + c) <= fl(b + c). For a point p inside the box [lo, hi], the
 per-coordinate gap max(lo - q, q - hi, 0) therefore never exceeds the
 computed |p - q|. A box bound that accumulates those gaps from 0.0, in
-the same coordinate order and the same steps as :func:`_point_distances`,
-never exceeds the computed distance of any point in the box, even where
-squares overflow to inf. The tree skips a leaf only when its bound is
+the same coordinate order and the same steps as ``squared_euclidean`` and
+``manhattan``, never exceeds the computed distance of any point in the
+box, even where squares overflow to inf. The tree skips a leaf only when its bound is
 strictly greater than a distance that k real points already reach, so a
 scan with ``<=`` never drops a point that ties the k-th distance.
 """
@@ -26,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import ColumnKind, Dataset
-from .distance import DistanceMetric
+from .distance import DistanceMetric, hamming, manhattan, squared_euclidean
 
 _LEAF_SIZE = 16
 # Byte cap on each (block x n) buffer of the blocked brute-force kernel;
@@ -35,6 +40,14 @@ _BLOCK_BYTES = 1 << 20
 # Query rows the kd-tree searches together. Rows are sorted by home leaf,
 # so a small block stays spatially compact and its leaf filter stays tight.
 _TREE_BLOCK_ROWS = 16
+
+
+# The scalar distance each metric's kernels rank by.
+_RANKED = {
+    DistanceMetric.EUCLIDEAN: squared_euclidean,
+    DistanceMetric.MANHATTAN: manhattan,
+    DistanceMetric.HAMMING: hamming,
+}
 
 
 class SearchBackend(Enum):
@@ -49,8 +62,10 @@ class NeighborSet:
     For a ``(d,)`` query vector both arrays have shape ``(min(k, n),)``;
     for an ``(m, d)`` query matrix they have shape ``(m, min(k, n))``, one
     row per query row, and ``len`` is m. Along the last axis ``distances``
-    is sorted non-decreasing; ties are broken by ascending training-row
-    index, so the result is unique.
+    is sorted non-decreasing; ties in the ranked distance (squared, for
+    euclidean) are broken by ascending training-row index, so the result is
+    unique, and rows whose squares root to the same distance keep their
+    squared order, which need not be their index order.
     """
 
     indices: np.ndarray
@@ -60,30 +75,10 @@ class NeighborSet:
         return len(self.indices)
 
 
-def _point_distances(points: np.ndarray, q: np.ndarray, metric: DistanceMetric) -> np.ndarray:
-    """Distance from every row of ``points`` to ``q``.
-
-    Euclidean values are returned *squared* (callers sqrt at the boundary).
-    Accumulation runs coordinate by coordinate, one IEEE op per step and
-    row, which is exactly the scalar functions' left-to-right order; this
-    is what makes batch sizes and backends bit-interchangeable.
-    """
-    if metric is DistanceMetric.HAMMING:
-        return (points != q).sum(axis=1).astype(np.float64)
-    acc = np.zeros(points.shape[0], dtype=np.float64)
-    if metric is DistanceMetric.EUCLIDEAN:
-        for j in range(points.shape[1]):
-            diff = points[:, j] - q[j]
-            acc += diff * diff
-    else:
-        for j in range(points.shape[1]):
-            acc += np.abs(points[:, j] - q[j])
-    return acc
-
-
 def _accumulate(dist, columns, q, metric, work, mask):
     """Fill ``dist[i, c]`` with the internal distance from query ``q[i]`` to
-    training point c, element for element the ops of _point_distances.
+    training point c, element for element the IEEE steps of the scalar
+    function ``_RANKED[metric]``.
 
     ``columns`` yields, coordinate by coordinate, that coordinate of the
     training points: a row broadcast over the queries, or a matrix shaped
@@ -138,7 +133,7 @@ def _box_bounds(lo, hi, q_lo, q_hi, metric):
 
     ``lo``/``hi`` are (d, L) and ``q_lo``/``q_hi`` (b, d). Per coordinate
     the gap is max(lo - q_hi, q_lo - hi, 0), accumulated from 0.0 in the
-    order and steps of _point_distances (see the module docstring).
+    order and steps of ``_RANKED[metric]`` (see the module docstring).
     """
     bound = np.zeros((q_lo.shape[0], lo.shape[1]))
     for j in range(lo.shape[0]):
@@ -213,16 +208,18 @@ class BruteForceIndex(_IndexBase):
 
     ``query`` runs a blocked kernel over B = max(1, 1 MiB // (8 n)) query
     rows at a time. Each block is one (B, n) distance matrix, accumulated
-    coordinate by coordinate in the same IEEE steps as
-    :func:`_point_distances`, so the result is bit-identical to the per-row
-    scan ``_search``, which stays as the reference. Besides a (d, n)
+    coordinate by coordinate in the same IEEE steps as the scalar distance
+    functions, so the result is bit-identical to the per-row scan
+    ``_search``, which stays as the reference. Besides a (d, n)
     column-major copy of the training rows made per call, the working set
     is two float64 (B, n) buffers and one bool (B, n) mask, reused across
     blocks. The kernel runs on the calling thread only.
     """
 
     def _search(self, q, k):
-        internal = _point_distances(self._points, q, self.metric)
+        """The k nearest rows to one query ``q`` by the scalar distance."""
+        rank = _RANKED[self.metric]
+        internal = np.array([rank(point, q) for point in self._points], dtype=np.float64)
         order = np.argsort(internal, kind="stable")[:k].astype(np.int64)
         return order, internal[order]
 

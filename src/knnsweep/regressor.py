@@ -1,7 +1,7 @@
 """KNN regression and the k-neighbor local density estimate.
 
-The regressor is a lazy learner: fit stores the training data and builds
-a neighbor index, nothing else. Predictions average the k nearest targets,
+The regressor is a lazy learner: fit stores the training data, z-scored
+on request, and builds a neighbor index, nothing else. Predictions average the k nearest targets,
 either uniformly or weighted by inverse distance, with nearby points
 getting more influence in the weighted mode.
 """
@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import Dataset, SchemaError, Standardizer, apply_standardizer
+from .dataset import Dataset, SchemaError, Standardizer, apply_standardizer, fit_standardizer
 from .distance import DistanceMetric
 from .metrics import _sum
 from .neighbors import SearchBackend, build_index
@@ -59,9 +59,11 @@ def fit(
     metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
     weighting: WeightingMode = WeightingMode.UNIFORM,
     backend: SearchBackend = SearchBackend.KD_TREE,
-    standardizer: Standardizer | None = None,
+    standardize: bool = False,
 ) -> KnnModel:
-    """Store the training data and build the neighbor index.
+    """Store the training data and build the neighbor index; with
+    ``standardize``, z-scores fitted on ``train`` alone are applied to it
+    and to every query.
 
     k must satisfy 1 <= k <= n; out-of-range k is an error here rather
     than being clamped, to surface misconfiguration early.
@@ -70,7 +72,8 @@ def fit(
         raise ValueError("cannot fit on an empty training set")
     if not 1 <= k <= train.n_rows:
         raise ValueError(f"k={k} out of range for {train.n_rows} training rows")
-    if standardizer is not None:
+    standardizer = fit_standardizer(train) if standardize else None
+    if standardize:
         train = apply_standardizer(standardizer, train)
     index = build_index(train, metric, backend)
     return KnnModel(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-from .dataset import Dataset, SplitSpec, fit_standardizer, split
+from .dataset import Dataset, SplitSpec, split
 from .distance import DistanceMetric
 from .metrics import MetricReport, report_columns
 from .neighbors import SearchBackend
@@ -67,8 +67,8 @@ def run_sweep(data: Dataset, config: SweepConfig) -> SweepResult:
             f"k_max={config.k_max} exceeds the {train.n_rows} training rows "
             f"left by the split"
         )
-    scaler = fit_standardizer(train) if config.standardize else None
-    model = fit(train, config.k_max, config.metric, config.weighting, config.backend, scaler)
+    model = fit(train, config.k_max, config.metric, config.weighting, config.backend,
+                config.standardize)
     preds = prefix_predictions(model, test)
     reports = report_columns(test.target, preds[:, config.k_min - 1:])
     rows = tuple(zip(range(config.k_min, config.k_max + 1), reports))

@@ -98,6 +98,17 @@ def test_blocked_kernel_equals_per_row_scan_and_kd_tree(case, metric):
     assert result.distances.tobytes() == tree.distances.tobytes()
 
 
+def test_equal_roots_keep_their_squared_order():
+    # squared distances 1 + 2^-52 and 1 both square-root to 1.0
+    points, q = np.array([[1.0, 2.0**-26], [1.0, 0.0]]), np.zeros(2)
+    brute = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+    indices, internal = brute._search(q, 1)
+    assert (indices.tolist(), internal.tolist()) == ([1], [1.0])
+    for index in (brute, KdTreeIndex(points, DistanceMetric.EUCLIDEAN)):
+        ns = index.query(q, 1)
+        assert (ns.indices.tolist(), ns.distances.tolist()) == ([1], [1.0])
+
+
 @PROPERTY_SETTINGS
 @given(case=kernel_cases(categorical=True))
 def test_blocked_hamming_kernel_equals_per_row_scan(case):

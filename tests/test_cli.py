@@ -11,7 +11,6 @@ from knnsweep import (
     SplitSpec,
     SweepConfig,
     fit,
-    fit_standardizer,
     load_csv,
     predict,
     run_sweep,
@@ -204,7 +203,7 @@ class TestPredictCommand:
         got = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
 
         train = load_csv(sample, "y")
-        model = fit(train, k=4, standardizer=fit_standardizer(train))
+        model = fit(train, k=4, standardize=True)
         expected = predict(model, make_dataset(queries, names=("x1", "x2", "x3")))
         assert got == expected.tolist()
 

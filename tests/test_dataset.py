@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -407,6 +408,24 @@ class TestRoundTrip:
             write_csv(ds, out, target_name="y")
         assert not out.exists()
 
+    def test_names_are_quoted_by_csv_rules(self, tmp_path):
+        ds = make_dataset([1.0, 2.0], target=[0.0, 1.0], names=("a,b",))
+        out = tmp_path / "names.csv"
+        write_csv(ds, out, target_name='say "y"')
+        back = load_csv(out, 'say "y"')
+        assert back.column_names == ("a,b",)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.target.tobytes() == ds.target.tobytes()
+
+    @pytest.mark.parametrize("names, target, bad", [((" a",), "y", " a"), (("a",), "y\t", "y\t"),
+                                                    (("a", "b", "a"), "y", "a")])
+    def test_names_a_reload_would_not_give_back_are_refused(self, tmp_path, names, target, bad):
+        ds = make_dataset(np.zeros((2, len(names))), names=names)
+        out = tmp_path / "names.csv"
+        with pytest.raises(ValueError, match=re.escape(f"column {bad!r}")):
+            write_csv(ds, out, target_name=target)
+        assert not out.exists()
+
     def test_target_name_collision(self, tmp_path):
         ds = make_dataset([1.0, 2.0], names=("y",))
         with pytest.raises(ValueError, match="collides"):
@@ -568,7 +587,7 @@ class TestStandardizer:
         assert s.sds[0] == 5e-324
         out = apply_standardizer(s, train).features[:, 0]
         assert out.tolist() == [-1.0, 0.0, -2.0, 1.0]
-        model = fit(train, 1, standardizer=s)
+        model = fit(train, 1, standardize=True)
         assert predict_one(model, [1.5e-323]) == 4.0
 
     def test_schema_mismatch(self):

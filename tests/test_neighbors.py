@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from knnsweep import (
     manhattan,
     query,
     query_radius_of_kth,
+    squared_euclidean,
 )
 
 from conftest import make_dataset
@@ -19,11 +22,13 @@ KD_METRICS = [DistanceMetric.EUCLIDEAN, DistanceMetric.MANHATTAN]
 
 
 def _naive_neighbors(points, q, k, metric=DistanceMetric.EUCLIDEAN):
-    """Independent oracle: scalar distances, sorted by (distance, index)."""
-    fn = euclidean if metric is DistanceMetric.EUCLIDEAN else manhattan
+    """Independent oracle: scalar distances, sorted by (distance, index),
+    with euclidean ranked by squared distance as the backends rank it."""
+    euclid = metric is DistanceMetric.EUCLIDEAN
+    fn = squared_euclidean if euclid else manhattan
     pairs = sorted((fn(row, q), i) for i, row in enumerate(points))
     take = pairs[: min(k, len(pairs))]
-    return [i for _, i in take], [d for d, _ in take]
+    return [i for _, i in take], [math.sqrt(d) if euclid else d for d, _ in take]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -44,6 +49,14 @@ class TestQuery:
         idx = build_index(make_dataset([-1.0, 1.0]), DistanceMetric.EUCLIDEAN, backend)
         ns = query(idx, [0.0], 1)
         assert ns.indices.tolist() == [0]
+
+    def test_equal_roots_keep_their_squared_order(self, backend):
+        # squared distances 1 + 2^-52 and 1 both square-root to 1.0
+        points = [[1.0, 2.0**-26], [1.0, 0.0]]
+        idx = build_index(make_dataset(points), DistanceMetric.EUCLIDEAN, backend)
+        ns = query(idx, [0.0, 0.0], 1)
+        assert (ns.indices.tolist(), ns.distances.tolist()) == ([1], [1.0])
+        assert _naive_neighbors(points, [0.0, 0.0], 1) == ([1], [1.0])
 
     def test_k_at_least_n_returns_all_rows_once(self, backend):
         rng = np.random.Generator(np.random.PCG64(1))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from knnsweep import (
+    ColumnKind,
     DistanceMetric,
     SchemaError,
     SearchBackend,
@@ -49,6 +50,26 @@ class TestFit:
         ds = make_dataset(np.zeros((0, 1)))
         with pytest.raises(ValueError, match="empty"):
             fit(ds, k=1)
+
+
+    def test_standardize_fits_on_the_training_rows(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        features = np.column_stack([rng.normal(5, 3, 20), rng.integers(0, 3, 20)])
+        ds = make_dataset(features, target=rng.normal(0, 1, 20),
+                          kinds=(ColumnKind.NUMERIC, ColumnKind.CATEGORICAL))
+        model = fit(ds, k=2, standardize=True)
+        scaler = fit_standardizer(ds)
+        assert model.standardizer.means.tobytes() == scaler.means.tobytes()
+        assert model.standardizer.sds.tobytes() == scaler.sds.tobytes()
+        expected = apply_standardizer(scaler, ds).features
+        assert model.train.features.tobytes() == expected.tobytes()
+
+    def test_without_standardize_the_rows_are_kept(self):
+        ds = make_dataset([[0.0, 10.0], [1.0, 30.0], [2.0, 20.0]], target=[1.0, 2.0, 3.0])
+        model = fit(ds, k=1, standardize=False)
+        assert model.standardizer is None
+        assert model.train.features.tobytes() == ds.features.tobytes()
+        assert model.train.target.tobytes() == ds.target.tobytes()
 
 
 class TestPredictOne:
@@ -117,7 +138,7 @@ class TestPredictBatch:
         features = np.column_stack([rng.normal(0, 1, 50), rng.normal(0, 1000, 50)])
         ds = make_dataset(features, target=rng.normal(0, 5, 50))
         scaler = fit_standardizer(ds)
-        model = fit(ds, k=3, standardizer=scaler)
+        model = fit(ds, k=3, standardize=True)
         queries = make_dataset(rng.normal(0, 1, (8, 2)))
         manual = fit(apply_standardizer(scaler, ds), k=3)
         expected = predict(manual, apply_standardizer(scaler, queries))
@@ -316,7 +337,7 @@ class TestQueryMatrices:
     @pytest.mark.parametrize("scaled", [False, True])
     def test_single_vector_functions_reject_matrices(self, scaled):
         ds = make_dataset([0.0, 1.0, 2.0], target=[1.0, 2.0, 3.0])
-        model = fit(ds, k=1, standardizer=fit_standardizer(ds) if scaled else None)
+        model = fit(ds, k=1, standardize=scaled)
         matrix = [[0.0], [1.0]]
         with pytest.raises(ValueError):
             predict_one(model, matrix)
