@@ -110,16 +110,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _model_options(args) -> dict:
+    """The model flags as keyword arguments; fit and SweepConfig take the same names."""
+    return dict(metric=_METRICS[args.metric], weighting=_WEIGHTINGS[args.weighting],
+                backend=_BACKENDS[args.backend], standardize=not args.no_standardize)
+
+
 def _sweep_config(args, k_min: int, k_max: int) -> SweepConfig:
-    return SweepConfig(
-        k_min=k_min,
-        k_max=k_max,
-        metric=_METRICS[args.metric],
-        weighting=_WEIGHTINGS[args.weighting],
-        backend=_BACKENDS[args.backend],
-        split=SplitSpec(train_fraction=args.split, seed=args.seed),
-        standardize=not args.no_standardize,
-    )
+    return SweepConfig(k_min=k_min, k_max=k_max,
+                       split=SplitSpec(train_fraction=args.split, seed=args.seed),
+                       **_model_options(args))
+
+
+def _write_values(path, name: str, values) -> None:
+    """Write one value per query row as a row_index,<name> CSV, 17 significant digits."""
+    rows = (f"{i},{v:.17g}\n" for i, v in enumerate(values.tolist()))
+    Path(path).write_text(f"row_index,{name}\n" + "".join(rows), encoding="utf-8")
 
 
 def cmd_sweep(args) -> int:
@@ -149,19 +155,9 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     train = load_csv(args.train, args.target, args.categorical)
-    model = fit(
-        train,
-        k=args.k,
-        metric=_METRICS[args.metric],
-        weighting=_WEIGHTINGS[args.weighting],
-        backend=_BACKENDS[args.backend],
-        standardize=not args.no_standardize,
-    )
+    model = fit(train, k=args.k, **_model_options(args))
     queries = load_features_csv(args.query, args.categorical, train.codebooks)
-    preds = predict(model, queries)
-    lines = ["row_index,prediction"]
-    lines.extend(f"{i},{p:.17g}" for i, p in enumerate(preds.tolist()))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_values(args.out, "prediction", predict(model, queries))
     return 0
 
 
@@ -171,10 +167,7 @@ def cmd_density(args) -> int:
     train = load_features_csv(args.train)
     model = fit(train, k=args.k, metric=DistanceMetric.EUCLIDEAN)
     queries = load_features_csv(args.query)
-    lines = ["row_index,density"]
-    densities = estimate_densities(model, queries)
-    lines.extend(f"{i},{v:.17g}" for i, v in enumerate(densities.tolist()))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_values(args.out, "density", estimate_densities(model, queries))
     return 0
 
 

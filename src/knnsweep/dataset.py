@@ -419,7 +419,8 @@ class Standardizer:
         """Apply the fitted transform to a raw (m, d) feature matrix; returns a copy.
 
         Where x - mean overflows (values near the float limit on both sides
-        of the mean), that entry is x / sd - mean / sd instead.
+        of the mean), that entry is x / sd - mean / sd instead; a finite x
+        whose z-score overflows even so is a ValueError naming the column.
         """
         out = np.array(features, dtype=np.float64)
         for j, kind in enumerate(self.column_kinds):
@@ -434,6 +435,9 @@ class Standardizer:
                 z = (col - mean) / sd
                 bad = ~np.isfinite(z)
                 z[bad] = col[bad] / sd - mean / sd
+            if (np.isfinite(col[bad]) & ~np.isfinite(z[bad])).any():
+                raise ValueError(f"column {self.column_names[j]!r}: z-score overflows "
+                                 f"the float range (training sd {float(sd)!r})")
             out[:, j] = z
         return out
 

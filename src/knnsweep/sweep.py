@@ -88,13 +88,18 @@ def select_best(result: SweepResult, criterion: str) -> int:
 
 def _best_k(rows, criterion: str) -> int | None:
     """select_best over ascending-k rows; None when no row defines R²."""
-    if criterion == "rmse":
-        scores = [(rep.rmse, k) for k, rep in rows]
-    elif criterion == "r2":
-        scores = [(-rep.r_squared, k) for k, rep in rows if rep.r_squared is not None]
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}; use 'rmse' or 'r2'")
+    sign = -1.0 if criterion == "r2" else 1.0
+    scores = [(sign * v, k) for k, v in _points(rows, criterion, "criterion")]
     return min(scores)[1] if scores else None
+
+
+def _points(rows, criterion: str, what: str) -> list[tuple[int, float]]:
+    """(k, value) for every row where ``criterion`` ('rmse' or 'r2') is defined."""
+    if criterion == "rmse":
+        return [(k, rep.rmse) for k, rep in rows]
+    if criterion == "r2":
+        return [(k, rep.r_squared) for k, rep in rows if rep.r_squared is not None]
+    raise ValueError(f"unknown {what} {criterion!r}; use 'rmse' or 'r2'")
 
 
 def _fmt(x: float) -> str:
@@ -116,20 +121,26 @@ def emit_table(result: SweepResult, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _line(x1, y1, x2, y2) -> str:
+    """One black 1-px SVG line between points formatted by the caller."""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="#000000" stroke-width="1"/>')
+
+
+def _text(x, y, anchor, size, body, extra="") -> str:
+    """One sans-serif SVG text element; ``extra`` is further attributes, each after a space."""
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+            f'font-family="sans-serif" font-size="{size}"{extra}>{body}</text>')
+
+
 def emit_chart(result: SweepResult, metric: str, path, title: str) -> None:
     """Write a standalone SVG line chart of the metric versus k.
 
     x axis: k; y axis: metric value; a marker highlights the best k.
     Identical inputs produce byte-identical files.
     """
-    if metric == "rmse":
-        points = [(k, rep.rmse) for k, rep in result.rows]
-        y_label = "RMSE"
-    elif metric == "r2":
-        points = [(k, rep.r_squared) for k, rep in result.rows if rep.r_squared is not None]
-        y_label = "R-squared"
-    else:
-        raise ValueError(f"unknown chart metric {metric!r}; use 'rmse' or 'r2'")
+    points = _points(result.rows, metric, "chart metric")
+    y_label = "RMSE" if metric == "rmse" else "R-squared"
     if len(points) < 2:
         raise ValueError(f"chart needs at least 2 defined points, have {len(points)}")
     best_k = select_best(result, metric)
@@ -159,63 +170,34 @@ def emit_chart(result: SweepResult, metric: str, path, title: str) -> None:
         f'width="{CHART_WIDTH}" height="{CHART_HEIGHT}" '
         f'viewBox="0 0 {CHART_WIDTH} {CHART_HEIGHT}">',
         f'<rect x="0" y="0" width="{CHART_WIDTH}" height="{CHART_HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{CHART_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        _text(f"{CHART_WIDTH / 2:.1f}", 24, "middle", 16, escape(title)),
     ]
     axis_y = top + plot_h
-    parts.append(
-        f'<line x1="{left:.1f}" y1="{axis_y:.1f}" x2="{left + plot_w:.1f}" '
-        f'y2="{axis_y:.1f}" stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" '
-        f'y2="{axis_y:.1f}" stroke="#000000" stroke-width="1"/>'
-    )
+    parts.append(_line(f"{left:.1f}", f"{axis_y:.1f}", f"{left + plot_w:.1f}", f"{axis_y:.1f}"))
+    parts.append(_line(f"{left:.1f}", f"{top:.1f}", f"{left:.1f}", f"{axis_y:.1f}"))
     step = max(1, math.ceil((int(x_hi) - int(x_lo)) / 7)) if x_hi > x_lo else 1
     x_ticks = list(range(int(x_lo), int(x_hi) + 1, step))
     if x_ticks[-1] != int(x_hi):
         x_ticks.append(int(x_hi))
     for t in x_ticks:
-        x = px(float(t))
-        parts.append(
-            f'<line x1="{x:.3f}" y1="{axis_y:.1f}" x2="{x:.3f}" '
-            f'y2="{axis_y + 5:.1f}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.3f}" y="{axis_y + 20:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{t}</text>'
-        )
+        x = f"{px(float(t)):.3f}"
+        parts.append(_line(x, f"{axis_y:.1f}", x, f"{axis_y + 5:.1f}"))
+        parts.append(_text(x, f"{axis_y + 20:.1f}", "middle", 12, t))
     for i in range(5):
         v = y_lo + (y_hi - y_lo) * i / 4.0
         y = py(v)
-        parts.append(
-            f'<line x1="{left - 5:.1f}" y1="{y:.3f}" x2="{left:.1f}" '
-            f'y2="{y:.3f}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 9:.1f}" y="{y + 4:.3f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{v:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.1f}" y="{CHART_HEIGHT - 8}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="14">k</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">{y_label}</text>'
-    )
+        parts.append(_line(f"{left - 5:.1f}", f"{y:.3f}", f"{left:.1f}", f"{y:.3f}"))
+        parts.append(_text(f"{left - 9:.1f}", f"{y + 4:.3f}", "end", 12, f"{v:.6g}"))
+    mid_y = f"{top + plot_h / 2:.1f}"
+    parts.append(_text(f"{left + plot_w / 2:.1f}", CHART_HEIGHT - 8, "middle", 14, "k"))
+    parts.append(_text(18, mid_y, "middle", 14, y_label, f' transform="rotate(-90 18 {mid_y})"'))
     vertices = " ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in points)
     parts.append(
         f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{vertices}"/>'
     )
-    parts.append(
-        f'<circle cx="{px(float(best_k)):.3f}" cy="{py(best_y):.3f}" r="4" fill="#d62728"/>'
-    )
-    parts.append(
-        f'<text x="{px(float(best_k)):.3f}" y="{py(best_y) - 8:.3f}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-        f'fill="#d62728">k={best_k}</text>'
-    )
+    best_x, best_py = px(float(best_k)), py(best_y)
+    parts.append(f'<circle cx="{best_x:.3f}" cy="{best_py:.3f}" r="4" fill="#d62728"/>')
+    parts.append(_text(f"{best_x:.3f}", f"{best_py - 8:.3f}", "middle", 12, f"k={best_k}",
+                       ' fill="#d62728"'))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -21,6 +21,7 @@ from knnsweep import (
     fit_standardizer,
     load_csv,
     load_features_csv,
+    predict,
     predict_one,
     split,
     write_csv,
@@ -589,6 +590,16 @@ class TestStandardizer:
         assert out.tolist() == [-1.0, 0.0, -2.0, 1.0]
         model = fit(train, 1, standardize=True)
         assert predict_one(model, [1.5e-323]) == 4.0
+
+    def test_overflowing_z_score_names_the_column(self):
+        # sd is subnormal, so the finite query 1.0 has no finite z-score
+        train = make_dataset([0.0, 5e-324, 1e-323], names=("x",))
+        model = fit(train, 1, standardize=True)
+        message = r"column 'x': z-score overflows the float range \(training sd 5e-324\)"
+        with pytest.raises(ValueError, match=message):
+            predict_one(model, [1.0])
+        with pytest.raises(ValueError, match=message):
+            predict(model, make_dataset([1.0], names=("x",)))
 
     def test_schema_mismatch(self):
         train = make_dataset([1.0, 2.0], names=("a",))

@@ -1,0 +1,85 @@
+"""Every CLI output byte on the bundled sample, pinned by sha256.
+
+A change to any output byte (an SVG attribute, a number format, a file
+header) fails here; a digest changes only with a deliberate format change.
+The query and density inputs are cut from data/synthetic.csv the way the
+CI smoke step cuts them: the first three columns of every line, and the
+header plus the first 20 rows of that.
+"""
+
+import hashlib
+
+import pytest
+
+from knnsweep import cli
+
+from conftest import REPO_ROOT
+
+SAMPLE = REPO_ROOT / "data" / "synthetic.csv"
+
+SWEEP_DEFAULT = {
+    "table.csv": "8e7bf974aca81310fe6410d018dc7d5105264a8f567ec3745852b8997436dd97",
+    "rmse.svg": "08e8d8ff6cbe9a838ebaeb4230c1a36458c4109a9e403e6394d4013c2d21a22f",
+    "r2.svg": "f4f9e26025a6b06f8a3f85c348bd357ff5a0bd2cbdddbaf06d993994c62e636d",
+    "stdout": "c6b8dab19aafbf537956afff8ce4da6b878ebd42fac787aa09f834705cac8f2c",
+}
+SWEEP_INVERSE_BRUTE = {
+    "table.csv": "5ca520af99d8a0f0b7d972dc98972ed1d9b49d2b08d62d3dff617e6ef0928592",
+    "rmse.svg": "b0461ecbd3344a1565543ef91b4f7effcbe640f124e08b701c1dfb7de54438f6",
+    "r2.svg": "2ff256d5f95ad0a99bb2d4bf6e06fc811a4dd22ed3a03e5a3fd88c5ce60a2b14",
+    "stdout": "40f67fc8ddf8d4dbd6b2ebe8a29513744d4305fb83cda588b4932173ca4b7cd3",
+}
+EVAL_K5_STDOUT = "e0806398a66839634001c10a772cbbbfa13b54f0f7d616a6ff367c957f7dd8ed"
+PREDICT_K5 = "daa6c6314b80a128c5ce002486cdaab2d82dcd60013845db4741952987b4dd1b"
+DENSITY_K5 = "c7136a85c3f1cc341c3130e28c2e6b504d12896f217a9dca0cd605b042afeb92"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    rows = SAMPLE.read_text(encoding="utf-8").splitlines()
+    features = [",".join(row.split(",")[:3]) for row in rows]
+    (tmp_path / "features.csv").write_text("\n".join(features) + "\n", encoding="utf-8")
+    (tmp_path / "query.csv").write_text("\n".join(features[:21]) + "\n", encoding="utf-8")
+    return tmp_path
+
+
+def _run(capsys, *argv) -> bytes:
+    assert cli.main([str(a) for a in argv]) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ((), SWEEP_DEFAULT),
+    (("--weighting", "inverse", "--backend", "brute"), SWEEP_INVERSE_BRUTE),
+], ids=["default", "inverse-brute"])
+def test_sweep_table_charts_and_stdout(capsys, tmp_path, flags, expected):
+    stdout = _run(capsys, "sweep", "--data", SAMPLE, "--target", "y", *flags,
+                  "--out-table", tmp_path / "table.csv",
+                  "--plot-rmse", tmp_path / "rmse.svg", "--plot-r2", tmp_path / "r2.svg")
+    got = {name: _sha((tmp_path / name).read_bytes())
+           for name in ("table.csv", "rmse.svg", "r2.svg")}
+    got["stdout"] = _sha(stdout)
+    assert got == expected
+
+
+def test_eval_stdout(capsys):
+    stdout = _run(capsys, "eval", "--data", SAMPLE, "--target", "y", "--k", "5")
+    assert _sha(stdout) == EVAL_K5_STDOUT
+
+
+def test_predict_file(capsys, inputs):
+    out = inputs / "pred.csv"
+    _run(capsys, "predict", "--train", SAMPLE, "--query", inputs / "query.csv",
+         "--target", "y", "--k", "5", "--out", out)
+    assert _sha(out.read_bytes()) == PREDICT_K5
+
+
+def test_density_file(capsys, inputs):
+    out = inputs / "dens.csv"
+    _run(capsys, "density", "--train", inputs / "features.csv",
+         "--query", inputs / "query.csv", "--k", "5", "--out", out)
+    assert _sha(out.read_bytes()) == DENSITY_K5

@@ -149,7 +149,7 @@ class TestSelectBest:
 
     def test_unknown_criterion(self):
         result = SweepResult(rows=((1, _mk_report(1.0)),), best_k_rmse=1, best_k_r2=None)
-        with pytest.raises(ValueError, match="criterion"):
+        with pytest.raises(ValueError, match=r"^unknown criterion 'mae'; use 'rmse' or 'r2'$"):
             select_best(result, "mae")
 
 
@@ -233,5 +233,5 @@ class TestEmitChart:
 
     def test_unknown_metric(self, tmp_path):
         result = run_sweep(_linear_dataset(n=40), SweepConfig(k_min=1, k_max=3))
-        with pytest.raises(ValueError, match="chart metric"):
+        with pytest.raises(ValueError, match=r"^unknown chart metric 'mae'; use 'rmse' or 'r2'$"):
             emit_chart(result, "mae", tmp_path / "z.svg", title="t")
