@@ -14,7 +14,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -133,21 +132,17 @@ class SplitSpec:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-# Rows read and parsed at a time; while a chunk is parsed its cells are
-# held as strings, one list per row and one tuple per column.
-_CHUNK_ROWS = 1024
-
-
 def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> Dataset:
     """Shared CSV parser. target_column=None loads a feature-only file,
     whose target is all zeros. A categorical column named in ``codebooks``
     is coded with that codebook; its other columns code labels in
     first-appearance order.
 
-    Rows are parsed ``_CHUNK_ROWS`` at a time, column by column
-    (``_parse_chunk``); a chunk that has any fault goes through the
-    per-cell loop (``_parse_rows``) instead, which names the first fault
-    in row-major order. Both give the same values and codes."""
+    The data rows are read by numpy's C reader (``_load_table``). A file
+    it might read otherwise than ``csv.reader`` and ``_parse_cell`` would,
+    or that has any fault, goes through the per-cell loop (``_parse_rows``)
+    instead, with fresh codebooks; that loop names the first fault in
+    row-major order. Both give the same values and codes."""
     categorical = set(categorical_columns)
     fixed = dict(codebooks or {})
     if target_column is not None and target_column in categorical:
@@ -161,6 +156,8 @@ def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> D
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, missing header row") from None
+        except csv.Error as err:
+            raise CsvFormatError(f"{path}: header row: {err}") from None
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise CsvFormatError(f"{path}: duplicate column names in header")
@@ -178,97 +175,95 @@ def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> D
             ColumnKind.CATEGORICAL if name in categorical else ColumnKind.NUMERIC
             for name in feature_names
         )
-        books: dict[str, dict[str, int]] = {
-            name: {label: code for code, label in enumerate(fixed.get(name, ()))}
-            for name in feature_names if name in categorical
-        }
-        # (header position, name, codebook or None, codebook fixed), target last
-        columns = [(header.index(name), name, books.get(name), name in fixed)
-                   for name in [*feature_names, target_column] if name is not None]
-        parts: list[list[np.ndarray]] = [[] for _ in columns]
-        row_no = 1
-        for rows in _row_chunks(reader):
-            chunk = _parse_chunk(rows, len(header), columns)
-            if chunk is None:
-                chunk = _parse_rows(path, rows, row_no, len(header), columns)
-            for part, col in zip(parts, chunk):
-                part.append(col)
-            row_no += len(rows)
-        if not parts[0]:
-            raise CsvFormatError(f"{path}: no data rows after the header")
-    values = [np.concatenate(part) for part in parts]
+
+        def columns():
+            """(header position, name, codebook or None, codebook fixed),
+            target last, each with a fresh codebook."""
+            return [(header.index(name), name,
+                     {label: code for code, label in enumerate(fixed.get(name, ()))}
+                     if name in categorical else None, name in fixed)
+                    for name in [*feature_names, target_column] if name is not None]
+
+        cols = columns()
+        values = _load_table(path, reader.line_num, len(header), cols)
+        if values is None:
+            cols = columns()
+            values = _parse_rows(path, reader, len(header), cols)
     target = values.pop() if target_column is not None else np.zeros(len(values[0]))
     return Dataset(
         features=np.column_stack(values),
         target=target,
         column_kinds=kinds,
         column_names=tuple(feature_names),
-        codebooks={name: tuple(book) for name, book in books.items()},
+        codebooks={name: tuple(book) for _, name, book, _ in cols if book is not None},
     )
 
 
-def _row_chunks(reader):
-    """The reader's rows, ``_CHUNK_ROWS`` at a time. Where the reader fails
-    (a csv.Error, an undecodable byte), the rows read before the failure
-    come first as a chunk of their own, so a bad cell in them is still the
-    first error raised, as when rows were parsed one by one."""
-    while True:
-        rows: list[list[str]] = []
-        try:
-            rows.extend(islice(reader, _CHUNK_ROWS))
-        except (csv.Error, UnicodeDecodeError):
-            if rows:
-                yield rows
-            raise
-        if not rows:
-            return
-        yield rows
+def _load_table(path, skip, width, columns) -> list[np.ndarray] | None:
+    """One column array per entry of ``columns``, read by ``np.loadtxt``
+    past the ``skip`` header lines, or None where the file needs the
+    per-cell loop.
 
-
-def _parse_chunk(rows, width, columns) -> list[np.ndarray] | None:
-    """One column array per entry of ``columns``, or None where the chunk
-    needs the per-cell loop: a ragged row, a cell ``float`` rejects, a
-    non-finite value, or a bad categorical cell.
-
-    A numeric column is ``float`` of each unstripped cell. Where that
-    succeeds it equals ``float(cell.strip())``: the whitespace ``float``
-    skips around a number is a subset of what ``str.strip`` removes. The
-    exceptions, \\x1c-\\x1f, which only ``strip`` removes, make ``float``
-    fail, so such a chunk takes the per-cell loop. Categorical cells go
-    through ``_parse_cell`` one column at a time, so each codebook sees its
-    own column in row order, as in the per-cell loop; labels coded here
-    before the chunk is given up get the same codes again there."""
-    if set(map(len, rows)) != {width}:
+    loadtxt quotes fields as ``csv.reader`` does, and parses a number as
+    ``float`` of the stripped cell does, with the same rounding; a cell
+    ``float`` accepts but loadtxt does not (``1_0``, non-ASCII digits)
+    fails the call. Categorical cells go through ``_parse_cell``, which
+    loadtxt calls in row order, so codebooks grow in first-appearance
+    order. The file is given up where loadtxt fails, where a value is not
+    finite, and where the table is not one row of the header's width per
+    line: a quoted field across lines, which loadtxt reads with LF for
+    each CR, leaves fewer rows than lines. ``_data_lines`` gives up, before
+    the call, a blank line, which loadtxt would skip, and what
+    ``csv.reader`` might reject."""
+    lines = _data_lines(path.read_bytes(), skip)
+    if not lines:
         return None
-    cells = list(zip(*rows))
-    out = []
+    converters = {pos: lambda cell, book=book, frozen=frozen: _parse_cell(cell.strip(), book, frozen)
+                  for pos, _, book, frozen in columns if book is not None}
     try:
-        for pos, _, book, frozen in columns:
-            if book is None:
-                col = np.array(list(map(float, cells[pos])))
-                if not np.isfinite(col).all():
-                    return None
-            else:
-                col = np.array([_parse_cell(cell.strip(), book, frozen) for cell in cells[pos]])
-            out.append(col)
-    except ValueError:  # float's, or a CsvFormatError from _parse_cell
+        table = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, encoding="utf-8",
+                           ndmin=2, skiprows=skip, converters=converters)
+    except ValueError:  # a cell it rejects, a ragged row, an undecodable byte
         return None
-    return out
+    if table.shape != (lines, width) or not np.isfinite(table).all():
+        return None
+    return [table[:, pos] for pos, *_ in columns]
 
 
-def _parse_rows(path, rows, first_row_no, width, columns) -> list[np.ndarray]:
-    """The per-cell loop over one chunk, in row-major order, and the only
-    code that raises a row or cell CsvFormatError: the first fault names
-    its row and column."""
+def _data_lines(raw: bytes, skip: int) -> int:
+    """The number of lines in ``raw`` after its first ``skip``, or 0 where
+    it has a blank line or where ``csv.reader`` might raise csv.Error: on
+    a NUL byte, or on a field over ``csv.field_size_limit()``. A field
+    within one line is shorter than that where every block of half that
+    many bytes holds a line break."""
+    step = max(csv.field_size_limit() // 2, 1)
+    if any(bad in raw for bad in (b"\0", b"\n\n", b"\r\r", b"\n\r")) or any(
+            raw.find(b"\n", i, i + step) < 0 and raw.find(b"\r", i, i + step) < 0
+            for i in range(0, len(raw), step)):
+        return 0
+    breaks = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+    return breaks + (not raw.endswith((b"\n", b"\r"))) - skip
+
+
+def _parse_rows(path, reader, width, columns) -> list[np.ndarray]:
+    """The per-cell loop over the reader's rows, in row-major order, and
+    the only code that raises a row or cell CsvFormatError: the first
+    fault names its row, and its column where a cell is at fault."""
     values: list[list[float]] = [[] for _ in columns]
-    for row_no, row in enumerate(rows, start=first_row_no):
-        if len(row) != width:
-            raise CsvFormatError(f"{path}: row {row_no} has {len(row)} cells, expected {width}")
-        for (pos, name, book, frozen), out in zip(columns, values):
-            try:
-                out.append(_parse_cell(row[pos].strip(), book, frozen))
-            except CsvFormatError as err:
-                raise CsvFormatError(f"{path}: row {row_no}, column {name!r}: {err}") from None
+    row_no = 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != width:
+                raise CsvFormatError(f"{path}: row {row_no} has {len(row)} cells, expected {width}")
+            for (pos, name, book, frozen), out in zip(columns, values):
+                try:
+                    out.append(_parse_cell(row[pos].strip(), book, frozen))
+                except CsvFormatError as err:
+                    raise CsvFormatError(f"{path}: row {row_no}, column {name!r}: {err}") from None
+    except csv.Error as err:
+        raise CsvFormatError(f"{path}: row {row_no + 1}: {err}") from None
+    if not row_no:
+        raise CsvFormatError(f"{path}: no data rows after the header")
     return [np.array(out) for out in values]
 
 

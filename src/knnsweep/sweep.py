@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .dataset import Dataset, SplitSpec, split
 from .distance import DistanceMetric
@@ -170,7 +169,8 @@ def emit_chart(result: SweepResult, metric: str, path, title: str) -> None:
         f'width="{CHART_WIDTH}" height="{CHART_HEIGHT}" '
         f'viewBox="0 0 {CHART_WIDTH} {CHART_HEIGHT}">',
         f'<rect x="0" y="0" width="{CHART_WIDTH}" height="{CHART_HEIGHT}" fill="#ffffff"/>',
-        _text(f"{CHART_WIDTH / 2:.1f}", 24, "middle", 16, escape(title)),
+        _text(f"{CHART_WIDTH / 2:.1f}", 24, "middle", 16,
+              title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")),
     ]
     axis_y = top + plot_h
     parts.append(_line(f"{left:.1f}", f"{axis_y:.1f}", f"{left + plot_w:.1f}", f"{axis_y:.1f}"))

@@ -223,6 +223,20 @@ class TestPredictCommand:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {query}: row 1, column 'c': label 'z' does not occur in the training data\n"
 
+    @pytest.mark.parametrize("cell", ["0." + "0" * 139_998 + "1", "1\x00"], ids=["oversized", "nul"])
+    def test_cell_csv_reader_rejects_is_one_error_line(self, sample, tmp_path, cell):
+        # csv.reader raises csv.Error on a field over its 131072-character
+        # limit, and on a NUL byte before Python 3.11
+        query = tmp_path / "q.csv"
+        query.write_text(f"x1,x2,x3\n1,2,3\n{cell},2,3\n")
+        proc = run_cli(
+            "predict", "--train", sample, "--query", query,
+            "--target", "y", "--k", "1", "--out", tmp_path / "o.csv",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {query}: row 2") and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestDensityCommand:
     @pytest.fixture

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -80,6 +81,12 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="header"):
             load_csv(p, "y")
 
+    def test_header_csv_reader_rejects(self, tmp_path):
+        p = _write(tmp_path, "a," + "b" * 140_000 + "\n1,2\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_features_csv(p)
+        assert str(err.value) == f"{p}: header row: field larger than field limit (131072)"
+
     def test_duplicate_header(self, tmp_path):
         p = _write(tmp_path, "a,a,y\n1,2,3\n")
         with pytest.raises(CsvFormatError, match="duplicate"):
@@ -151,11 +158,6 @@ class TestLoadCsv:
         assert str(err.value) == f"{p}: {message}"
 
 
-# \x1c-\x1f are the padding that str.strip removes and float rejects: a
-# chunk holding one takes the per-cell loop.
-FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
-
-
 @st.composite
 def _real_cells(draw):
     """A float written by repr or %.17g, with optional `_` separators
@@ -166,66 +168,61 @@ def _real_cells(draw):
     gaps = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
     for i in sorted(draw(st.sets(st.sampled_from(gaps))) if gaps else (), reverse=True):
         text = text[:i] + "_" + text[i:]
-    pad = st.text(alphabet=" \t\xa0\u2003\v\f\x85\u3000" + FLOAT_REJECTS, max_size=3)
+    # \x1c-\x1f are padding that str.strip removes and float alone rejects
+    pad = st.text(alphabet=" \t\xa0\u2003\v\f\x85\u3000\x1c\x1d\x1e\x1f", max_size=3)
     return draw(pad) + text + draw(pad)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(rows=st.lists(st.tuples(_real_cells(), _real_cells()), min_size=1, max_size=12),
-       chunk_rows=st.integers(1, 3))
-@example(rows=[("\x1c1.5", "2"), ("\v-0.0\u3000", "\x855e-324")], chunk_rows=1)
-def test_loaded_reals_are_float_of_the_stripped_cell(tmp_path_factory, rows, chunk_rows):
+@given(rows=st.lists(st.tuples(_real_cells(), _real_cells()), min_size=1, max_size=12))
+@example(rows=[("\x1c1.5", "2"), ("\v-0.0\u3000", "\x855e-324")])
+def test_loaded_reals_are_float_of_the_stripped_cell(tmp_path_factory, rows):
     p = tmp_path_factory.mktemp("reals") / "data.csv"
     p.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in rows), encoding="utf-8")
-    with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows), \
-            mock.patch.object(dataset, "_parse_rows", wraps=dataset._parse_rows) as per_cell:
+    with mock.patch.object(dataset, "_parse_rows", wraps=dataset._parse_rows) as per_cell:
         ds = load_csv(p, "y")
     want_x = np.array([float(x.strip()) for x, _ in rows])
     want_y = np.array([float(y.strip()) for _, y in rows])
     assert ds.features[:, 0].tobytes() == want_x.tobytes()
     assert ds.target.tobytes() == want_y.tobytes()
-    # exactly the chunks holding a cell that float rejects took the per-cell loop
-    chunks = [rows[i:i + chunk_rows] for i in range(0, len(rows), chunk_rows)]
-    assert per_cell.call_count == sum(any(c in FLOAT_REJECTS for row in chunk for c in "".join(row))
-                                      for chunk in chunks)
+    # loadtxt rejects the `_` separators float accepts, and strips the same
+    # padding: exactly the files holding a `_` take the per-cell loop
+    assert per_cell.call_count == any("_" in x + y for x, y in rows)
 
 
-def _text(rows):
+def _text(rows, lineterminator="\n", quoting=csv.QUOTE_MINIMAL):
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator=lineterminator, quoting=quoting).writerows(rows)
     return buf.getvalue()
 
 
-class TestChunks:
-    """Files parsed with ``_CHUNK_ROWS`` patched to 1-3, so that rows,
-    faults and codebooks cross chunk edges."""
+class TestPerCellLoop:
+    """First faults and codes where good rows come before or after them."""
 
-    @pytest.fixture(params=[1, 2, 3])
-    def chunk_rows(self, request, monkeypatch):
-        monkeypatch.setattr(dataset, "_CHUNK_ROWS", request.param)
-        return request.param
-
-    def test_first_fault_in_a_later_chunk_is_pinned(self, tmp_path, chunk_rows):
+    def test_first_fault_after_good_rows_is_pinned(self, tmp_path):
         # row 4 only parses after strip; row 6 holds the first fault, row 7 a later one
         p = _write(tmp_path, "a,c,y\n1,r,1\n2,s,2\n3,r,3\n\x1c4,t,4\n5,s,5\n6, ,nan\n7,r\n")
         with pytest.raises(CsvFormatError) as err:
             load_csv(p, "y", categorical_columns={"c"})
         assert str(err.value) == f"{p}: row 6, column 'c': missing value"
 
-    def test_ragged_row_opening_a_chunk(self, tmp_path, chunk_rows):
-        rows = [[str(i), str(i)] for i in range(1, chunk_rows + 1)]
+    @pytest.mark.parametrize("good_rows", [1, 2, 3])
+    def test_ragged_row_after_good_rows(self, tmp_path, good_rows):
+        rows = [[str(i), str(i)] for i in range(1, good_rows + 1)]
         p = _write(tmp_path, _text([["a", "y"], *rows, ["1"], ["x", "2"]]))
         with pytest.raises(CsvFormatError) as err:
             load_csv(p, "y")
-        assert str(err.value) == f"{p}: row {chunk_rows + 1} has 1 cells, expected 2"
+        assert str(err.value) == f"{p}: row {good_rows + 1} has 1 cells, expected 2"
 
-    def test_codes_continue_across_chunks(self, tmp_path, chunk_rows):
+    def test_codes_follow_first_appearance(self, tmp_path):
         p = _write(tmp_path, "c,d,y\nb,x,1\na,x,2\nb,y,3\nc,z,4\na,y,5\nd,x,6\n")
-        ds = load_csv(p, "y", categorical_columns={"c", "d"})
+        with mock.patch.object(dataset, "_parse_rows", wraps=dataset._parse_rows) as per_cell:
+            ds = load_csv(p, "y", categorical_columns={"c", "d"})
+            q = _write(tmp_path, "c,d\nd,z\nc,y\nb,x\na,x\n", "q.csv")
+            query = load_features_csv(q, categorical_columns={"c", "d"}, codebooks=ds.codebooks)
+        assert per_cell.call_count == 0
         assert ds.features.tolist() == [[0, 0], [1, 0], [0, 1], [2, 2], [1, 1], [3, 0]]
         assert ds.codebooks == {"c": ("b", "a", "c", "d"), "d": ("x", "y", "z")}
-        q = _write(tmp_path, "c,d\nd,z\nc,y\nb,x\na,x\n", "q.csv")
-        query = load_features_csv(q, categorical_columns={"c", "d"}, codebooks=ds.codebooks)
         assert query.features.tolist() == [[3, 2], [2, 1], [0, 0], [1, 0]]
         assert query.codebooks == ds.codebooks
         unseen = _write(tmp_path, "c,d\nd,z\nc,y\nb,x\na,w\n", "unseen.csv")
@@ -235,8 +232,7 @@ class TestChunks:
                                   "label 'w' does not occur in the training data")
 
     def test_fault_before_an_undecodable_byte_is_reported_first(self, tmp_path):
-        # default chunks: the bad byte is decoded more than 8 KiB after row 2,
-        # within the first chunk
+        # the bad byte is decoded more than 8 KiB after row 2
         body = b"a,y\n1,1\nq,2\n" + b"3.25,3.5\n" * 1000
         p = tmp_path / "bytes.csv"
         p.write_bytes(body + b"\xff,4\n")
@@ -247,84 +243,163 @@ class TestChunks:
         with pytest.raises(UnicodeDecodeError):
             load_csv(p, "y")
 
-    def test_header_only_file(self, tmp_path, chunk_rows):
-        with pytest.raises(CsvFormatError, match="no data rows"):
-            load_csv(_write(tmp_path, "a,y\n"), "y")
-
 
 def _per_cell_reference(path, target, categorical, codebooks):
     """The row-major per-cell loader, written out: (features, target,
     codebooks) of a file, or the CsvFormatError message of its first fault."""
     with open(path, encoding="utf-8", newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    header = [h.strip() for h in header]
-    names = [h for h in header if h != target]
-    books = {name: {label: code for code, label in enumerate(codebooks.get(name, ()))}
-             for name in names if name in categorical}
-    values = {name: [] for name in header}
-    for row_no, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            return f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-        for name in [*names, target] if target else names:
-            cell = row[header.index(name)].strip()
-            where = f"{path}: row {row_no}, column {name!r}: "
-            if name not in books:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    return where + f"cannot parse {cell!r} as a number"
-                if not math.isfinite(value):
-                    return where + f"non-finite value {cell!r}"
-                values[name].append(value)
-            elif cell == "":
-                return where + "missing value"
-            elif name in codebooks and cell not in books[name]:
-                return where + f"label {cell!r} does not occur in the training data"
-            else:
-                values[name].append(float(books[name].setdefault(cell, len(books[name]))))
-    if not rows:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        names = [h for h in header if h != target]
+        books = {name: {label: code for code, label in enumerate(codebooks.get(name, ()))}
+                 for name in names if name in categorical}
+        values = {name: [] for name in header}
+        row_no = 0
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as err:
+                return f"{path}: row {row_no + 1}: {err}"
+            row_no += 1
+            if len(row) != len(header):
+                return f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+            for name in [*names, target] if target else names:
+                cell = row[header.index(name)].strip()
+                where = f"{path}: row {row_no}, column {name!r}: "
+                if name not in books:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        return where + f"cannot parse {cell!r} as a number"
+                    if not math.isfinite(value):
+                        return where + f"non-finite value {cell!r}"
+                    values[name].append(value)
+                elif cell == "":
+                    return where + "missing value"
+                elif name in codebooks and cell not in books[name]:
+                    return where + f"label {cell!r} does not occur in the training data"
+                else:
+                    values[name].append(float(books[name].setdefault(cell, len(books[name]))))
+    if not row_no:
         return f"{path}: no data rows after the header"
     features = np.array([values[name] for name in names]).T
-    target_values = np.array(values[target]) if target else np.zeros(len(rows))
+    target_values = np.array(values[target]) if target else np.zeros(row_no)
     return features.tobytes(), target_values.tobytes(), {n: tuple(b) for n, b in books.items()}
 
 
-REALS = st.sampled_from(["1", " -2.5 ", "3e2", "1_0", "\x1d7", "8\x1e", "\u30001\xa0"])
-LABELS = st.sampled_from(["a", " b", "c\nd", "1", "\x1fa"])
-FAULTS = st.sampled_from(["", " ", "nan", "-inf", "1e999", "0x1", '"q"', "z"])
+def _loaded(path, target, categorical, codebooks):
+    """What the loader gives, in ``_per_cell_reference``'s terms, and
+    whether it took the per-cell loop; any warning fails the load."""
+    with warnings.catch_warnings(), \
+            mock.patch.object(dataset, "_parse_rows", wraps=dataset._parse_rows) as per_cell:
+        warnings.simplefilter("error")
+        try:
+            if target is None:
+                ds = load_features_csv(path, categorical_columns=categorical, codebooks=codebooks)
+            else:
+                ds = load_csv(path, target, categorical_columns=categorical)
+        except CsvFormatError as err:
+            return str(err), per_cell.called
+    return (ds.features.tobytes(), ds.target.tobytes(), ds.codebooks), per_cell.called
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(data=st.data(), n=st.integers(0, 9), chunk_rows=st.integers(1, 3))
-def test_chunked_loader_equals_the_per_cell_reference(tmp_path_factory, data, n, chunk_rows):
-    header = ["a", "b", "y"]
-    categorical = data.draw(st.sets(st.sampled_from(["a", "b"])))
-    rows = [[data.draw(LABELS if name in categorical else REALS) for name in header]
+_PERFBENCH_STYLE = "x0,x1,x2,y\n" + "".join(
+    ",".join(map(repr, row)) + "\n"
+    for row in np.random.Generator(np.random.PCG64(7)).normal(size=(300, 4)).tolist())
+
+
+class TestCReader:
+    """Which files numpy's C reader reads, and which go to the per-cell
+    loop; either way the result equals the per-cell reference."""
+
+    @pytest.mark.parametrize("text, categorical", [
+        (_PERFBENCH_STYLE, ()),
+        ('"x","c","y"\r\n"1.5","a",2\r\n-3,"b b",4e-3\r\n" 7 ","a"," -0.0"\r\n', ("c",)),
+        ("c,d,y\nb,x,1\na,x,2\nb,y,3\nc,z,4\n", ("c", "d")),
+    ], ids=["perfbench-style", "r-style", "categorical"])
+    def test_plain_files_skip_the_per_cell_loop(self, tmp_path, text, categorical):
+        p = _write(tmp_path, text)
+        want = _per_cell_reference(p, "y", categorical, {})
+        assert isinstance(want, tuple)
+        assert _loaded(p, "y", categorical, {}) == (want, False)
+
+    @pytest.mark.parametrize("raw, per_cell", [
+        (b"a,y\n1,2\n\n3,4\n", True),
+        (b"a,y\n1,2\n3,4\n\n", True),
+        (b"a,y\r\n1,2\r\n\r\n", True),
+        (b"a,y\r1,2\r\r3,4\r", True),
+        (b"a,y\n1,2\n  \n", True),
+        (b"a\n1\n \t\n", True),
+        (b"a,y\n1,2,3\n4,5,6\n", True),
+        (b"a,y\nnan,1\n", True),
+        (b"a,y\n1,-inf\n", True),
+        (b"a,y\n1_0,1\n", True),
+        ("a,y\n\u0661\u0662,1\n".encode(), True),
+        (b'c,y\n"a\rb",1\n', True),
+        (b'c,y\n"a\r\nb",1\n', True),
+        (b"a,y\n1\x00,2\n", True),
+        (b"c,y\na\x00,1\n", True),
+        (b"a,y\n0." + b"0" * 139_998 + b"1,1\n", True),
+        (b'a,y\n"' + b"\n " * 70_000 + b'1",1\n', True),
+        (b'"a\nb",y\n1,2\n', False),
+        (b"a,y\n", True),
+        (b"a,y", True),
+    ], ids=["blank-line", "trailing-blank-line", "crlf-blank-line", "cr-blank-line",
+            "whitespace-line", "whitespace-line-one-column", "wider-than-header", "nan", "inf",
+            "underscore", "arabic-indic-digits", "cr-in-label", "crlf-in-label", "nul-in-number",
+            "nul-in-label", "field-over-csv-limit", "field-over-csv-limit-across-lines",
+            "multi-line-header", "header-only", "header-only-unterminated"])
+    def test_boundary_files_match_the_per_cell_reference(self, tmp_path, raw, per_cell):
+        p = tmp_path / "data.csv"
+        p.write_bytes(raw)
+        target = None if raw.startswith(b"a\n") else "y"
+        categorical = {"c"} if raw.startswith(b"c,") else set()
+        assert _loaded(p, target, categorical, {}) == (
+            _per_cell_reference(p, target, categorical, {}), per_cell)
+
+
+REALS = st.sampled_from(["1", " -2.5 ", "3e2", "\x1d7", "8\x1e", "\u30001\xa0"])
+LABELS = st.sampled_from(["a", " b", "1", "\x1fa", 'g"h'])
+# cells float reads and loadtxt does not, labels with line breaks, and faults
+ODD = st.sampled_from(["nan", "c\rd", "1_0", "-inf", "e\r\nf", "\u0661\u0662", "1e999",
+                       "c\nd", "", " ", "0x1", '"q"', "z", "0." + "0" * 139_998 + "1"])
+# raw edits after csv.writer: a blank line, a whitespace-only line, a NUL
+EDITS = st.sampled_from(["\n", "\r\n", " \n", "\x00"])
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(0, 9))
+def test_loader_equals_the_per_cell_reference(tmp_path_factory, data, n):
+    first = data.draw(st.sampled_from(["a", "a", "a\nb"]))
+    header = [first, "b", "y"]
+    categorical = data.draw(st.sets(st.sampled_from([first, "b"])))
+    # rows of the header's width, or all one cell wider
+    extra = data.draw(st.sampled_from([[], [], [], ["1"]]))
+    rows = [[data.draw(LABELS if name in categorical else REALS) for name in header] + extra
             for _ in range(n)]
-    # up to two faulty cells and one ragged row, anywhere
-    for i, j, cell in data.draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2),
-                                                   FAULTS), max_size=2)):
+    # up to two odd cells and one ragged row, anywhere
+    for i, j, cell in data.draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2), ODD),
+                                         max_size=2)):
         if i < n:
             rows[i][j] = cell
-    ragged = data.draw(st.sampled_from([None, None, *range(n)]))
+    ragged = data.draw(st.sampled_from([None] * 9 + list(range(n))))
     if ragged is not None:
-        rows[ragged] = rows[ragged][:data.draw(st.sampled_from([1, 2]))] or rows[ragged] + ["1"]
+        rows[ragged] = rows[ragged][:data.draw(st.sampled_from([1, 2]))]
     frozen = data.draw(st.booleans())
-    codebooks = {name: ("c\nd", "a", "b", "1") for name in categorical} if frozen else {}
+    codebooks = {name: ("c\nd", "a", "b", "1", 'g"h') for name in categorical} if frozen else {}
     target = None if frozen else "y"
-    p = tmp_path_factory.mktemp("chunks") / "data.csv"
-    p.write_text(_text([header, *rows]), encoding="utf-8")
-    want = _per_cell_reference(p, target, categorical, codebooks)
-    with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
-        try:
-            if frozen:
-                ds = load_features_csv(p, categorical_columns=categorical, codebooks=codebooks)
-            else:
-                ds = load_csv(p, "y", categorical_columns=categorical)
-        except CsvFormatError as err:
-            assert str(err) == want
-            return
-    assert (ds.features.tobytes(), ds.target.tobytes(), ds.codebooks) == want
+    end = data.draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    head = ",".join(f'"{name}"' for name in header) + end
+    text = head + _text(rows, end, data.draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    where = st.integers(len(head), len(text))
+    for at, edit in data.draw(st.lists(st.tuples(where, EDITS), max_size=1)):
+        text = text[:at] + edit + text[at:]
+    p = tmp_path_factory.mktemp("loader") / "data.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _loaded(p, target, categorical, codebooks)[0] == _per_cell_reference(
+        p, target, categorical, codebooks)
 
 
 class TestRoundTrip:

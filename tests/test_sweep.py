@@ -223,6 +223,14 @@ class TestEmitChart:
         emit_chart(result, "r2", out, title="fit")
         assert "R-squared" in out.read_text()
 
+    def test_title_is_escaped_as_saxutils_escapes_it(self, tmp_path):
+        from xml.sax.saxutils import escape
+        title = """R&D <k> & "quotes" 'too' &amp;"""
+        result = run_sweep(_linear_dataset(n=40), SweepConfig(k_min=1, k_max=3))
+        out = tmp_path / "t.svg"
+        emit_chart(result, "rmse", out, title=title)
+        assert f'font-size="16">{escape(title)}</text>' in out.read_text()
+
     def test_too_few_defined_points(self, tmp_path):
         constant = run_sweep(_constant_dataset(), SweepConfig(k_min=1, k_max=5))
         with pytest.raises(ValueError, match="at least 2"):
