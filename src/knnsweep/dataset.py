@@ -150,7 +150,9 @@ def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> D
             f"target column {target_column!r} cannot be listed as categorical"
         )
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    # The decoder reads ahead of csv.reader, so a byte that is not UTF-8
+    # is let through as a surrogate and refused with the row that holds it.
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -158,6 +160,9 @@ def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> D
             raise CsvFormatError(f"{path}: empty file, missing header row") from None
         except csv.Error as err:
             raise CsvFormatError(f"{path}: header row: {err}") from None
+        bad = _undecodable(header)
+        if bad:
+            raise CsvFormatError(f"{path}: header row: {bad}")
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise CsvFormatError(f"{path}: duplicate column names in header")
@@ -253,6 +258,9 @@ def _parse_rows(path, reader, width, columns) -> list[np.ndarray]:
     row_no = 0
     try:
         for row_no, row in enumerate(reader, start=1):
+            bad = _undecodable(row)
+            if bad:
+                raise CsvFormatError(f"{path}: row {row_no}: {bad}")
             if len(row) != width:
                 raise CsvFormatError(f"{path}: row {row_no} has {len(row)} cells, expected {width}")
             for (pos, name, book, frozen), out in zip(columns, values):
@@ -265,6 +273,20 @@ def _parse_rows(path, reader, width, columns) -> list[np.ndarray]:
     if not row_no:
         raise CsvFormatError(f"{path}: no data rows after the header")
     return [np.array(out) for out in values]
+
+
+def _undecodable(cells) -> str | None:
+    """What is wrong with the first byte in ``cells`` that is not UTF-8,
+    or None where every byte decoded. errors="surrogateescape" reads such
+    a byte b as the lone surrogate U+DC00 + b, which no UTF-8 text holds
+    and which alone does not encode back."""
+    for cell in cells:
+        if not cell.isascii():
+            try:
+                cell.encode("utf-8")
+            except UnicodeEncodeError as err:
+                return f"cannot decode byte 0x{ord(cell[err.start]) - 0xDC00:02x} as UTF-8"
+    return None
 
 
 def _parse_cell(cell, book, frozen) -> float:
@@ -288,15 +310,17 @@ def _parse_cell(cell, book, frozen) -> float:
     return float(code)
 
 
-def load_csv(path, target_column: str, categorical_columns=()) -> Dataset:
+def load_csv(path, target_column: str, categorical_columns=(), codebooks=None) -> Dataset:
     """Load a UTF-8, comma-separated file with one header row.
 
     Every non-target column must parse as a real number unless listed in
     ``categorical_columns``, in which case its labels are mapped to dense
-    integer codes in first-appearance order. Missing and non-finite cells
-    are rejected with the offending row and column named.
+    integer codes in first-appearance order, or, for a column named in
+    ``codebooks``, to their code in that codebook (a label it lacks raises
+    CsvFormatError). Missing and non-finite cells are rejected with the
+    offending row and column named.
     """
-    return _read_dataset(path, target_column, categorical_columns)
+    return _read_dataset(path, target_column, categorical_columns, codebooks)
 
 
 def load_features_csv(path, categorical_columns=(), codebooks=None) -> Dataset:
@@ -317,13 +341,14 @@ def write_csv(data: Dataset, path, target_name: str = "target") -> None:
     Reals are emitted with 17 significant digits (lossless for float64).
     Names and labels are quoted by CSV rules where they hold a comma, quote
     or line break. A categorical column with a codebook entry is emitted as
-    its labels, so a reload gives back the codebook (less any labels no row
-    uses); one without is emitted as bare integer codes. First-appearance
-    coding maps either back to the same codes only where each categorical
-    column's codes first appear in the order 0, 1, 2, ... Any other
-    categorical column, and a name or label that a reload would not give
-    back (with whitespace around it, repeated, or an empty or missing
-    label), raises ValueError naming the column, and nothing is written.
+    its labels: a reload with ``codebooks=data.codebooks`` gives back its
+    codes and codebook whatever their order, and one without codes the
+    labels by first appearance. A categorical column without a codebook
+    entry is emitted as bare integer codes, which a reload gives back only
+    where they first appear in the order 0, 1, 2, ...; any other such
+    column, and a name or label that a reload would not give back (with
+    whitespace around it, repeated, or an empty or missing label), raises
+    ValueError naming the column, and nothing is written.
     """
     if target_name in data.column_names:
         raise ValueError(f"target name {target_name!r} collides with a feature column")
@@ -334,13 +359,13 @@ def write_csv(data: Dataset, path, target_name: str = "target") -> None:
                              "(whitespace around it, or repeated)")
     cell_text: list[tuple[str, ...] | None] = []
     for name, kind, col in zip(data.column_names, data.column_kinds, data.features.T):
+        labels = data.codebooks.get(name)
         debuts = list(dict.fromkeys(col.tolist())) if kind is ColumnKind.CATEGORICAL else []
-        if debuts != list(range(len(debuts))):
+        if labels is None and debuts != list(range(len(debuts))):
             raise ValueError(f"categorical column {name!r}: codes do not first appear "
                              "as 0, 1, 2, ..., so a reload would recode them")
-        labels = data.codebooks.get(name)
         if labels is not None and (
-                len(labels) < len(debuts) or len(set(labels)) < len(labels)
+                len(labels) <= max(debuts, default=-1) or len(set(labels)) < len(labels)
                 or any(label == "" or label != label.strip() for label in labels)):
             raise ValueError(f"categorical column {name!r}: its codebook has labels that "
                              "a reload would not give back")

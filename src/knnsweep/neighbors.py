@@ -107,8 +107,9 @@ def _nearest_k(dist, k, work, keep, ids=None):
     ``ids[i, c]`` is the training row behind ``dist[i, c]`` (default: the
     column c). Every entry at or below its row's k-th smallest value is a
     candidate; sorting them on (row, distance, training row) and taking the
-    first k of each row is that order. ``work`` and the bool ``keep`` are
-    scratch shaped like ``dist``.
+    first k of each row is that order. When no row ties its k-th value,
+    every row keeps exactly k candidates, and each row is sorted on its own.
+    ``work`` and the bool ``keep`` are scratch shaped like ``dist``.
     """
     b, c = dist.shape
     if k == c:
@@ -118,9 +119,13 @@ def _nearest_k(dist, k, work, keep, ids=None):
         work.partition(k - 1, axis=1)
         np.less_equal(dist, work[:, k - 1:k], out=keep)
     flat = np.flatnonzero(keep)
-    row, col = np.divmod(flat, c)
     cand = np.take(dist, flat)
-    index = col if ids is None else np.take(ids, flat)
+    index = flat % c if ids is None else np.take(ids, flat)
+    if flat.size == b * k:
+        cand, index = cand.reshape(b, k), index.reshape(b, k)
+        order = np.lexsort((index, cand), axis=1)
+        return np.take_along_axis(index, order, 1), np.take_along_axis(cand, order, 1)
+    row = flat // c
     order = np.lexsort((index, cand, row))
     counts = np.bincount(row, minlength=b)
     take = order[((np.cumsum(counts) - counts)[:, None] + np.arange(k)).ravel()]
@@ -244,14 +249,18 @@ class BruteForceIndex(_IndexBase):
 class KdTreeIndex(_IndexBase):
     """Exact kd-tree in flat arrays, searched a block of queries at a time.
 
-    Build: level by level, every node splits its contiguous range of one
-    permuted point array in two with ``argpartition`` on its widest-spread
-    axis, until each of the 2^D leaves holds at most _LEAF_SIZE points.
-    Kept are the per-node split (axis, value) in heap order, the per-leaf
-    bounding boxes ``lo``/``hi``, each leaf's range, and the points in leaf
-    order, column-major, followed by one sentinel point of +inf whose
-    distance to every query is inf. Valid for the two axis-decomposable
-    metrics, euclidean and manhattan.
+    Build: in one (d, n + 1) array, the points column-major followed by
+    one sentinel point of +inf whose distance to every query is inf. Level
+    by level, every node splits its contiguous range of columns in two with
+    ``argpartition`` on its widest-spread axis, until each of the 2^D
+    leaves holds at most _LEAF_SIZE points; a node one point short of the
+    level's widest is padded with the sentinel, which partitions into the
+    right half and is dropped there. Each level reorders the array in place
+    by its local order, so at the end it holds the points in leaf order.
+    Kept are that array, the training row behind each column, the per-node
+    split (axis, value) in heap order, the per-leaf bounding boxes
+    ``lo``/``hi`` and each leaf's range. Valid for the two
+    axis-decomposable metrics, euclidean and manhattan.
 
     Search, the query-block form of dual-tree search (Gray & Moore, NIPS
     2000): every query walks down to its home leaf in D vectorized steps,
@@ -282,40 +291,41 @@ class KdTreeIndex(_IndexBase):
         depth = 0
         while -(-n >> depth) > _LEAF_SIZE:  # ceil(n / 2^depth)
             depth += 1
-        perm = np.arange(n)
+        columns = np.full((d, n + 1), np.inf)
+        columns[:, :n] = self._points.T
+        real = columns[:, :n]
+        ids = np.arange(n + 1)
         sizes = np.array([n])
         axes, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for _ in range(depth):
             # Sizes at one level differ by at most 1, so the nodes fit one
-            # (nodes, widest) matrix; the short rows get one +inf pad slot.
+            # (nodes, widest) matrix; a short node's last slot is the sentinel.
             starts = np.cumsum(sizes) - sizes
-            pts = self._points[perm]
-            spread = (np.maximum.reduceat(pts, starts, axis=0)
-                      - np.minimum.reduceat(pts, starts, axis=0))
-            axis = np.argmax(spread, axis=1)
+            axis = np.argmax(np.maximum.reduceat(real, starts, axis=1)
+                             - np.minimum.reduceat(real, starts, axis=1), axis=0)
             width = int(sizes.max())
             half = width // 2
-            slot = np.arange(width)
-            pad = slot >= sizes[:, None]
-            pos = np.minimum(starts[:, None] + slot, n - 1)
-            vals = pts[pos, axis[:, None]]
-            vals[pad] = np.inf
+            src = starts[:, None] + np.arange(width)  # column of each slot
+            src[sizes < width, -1] = n
+            vals = np.take(columns, axis[:, None] * (n + 1) + src)
             part = np.argpartition(vals, half, axis=1)
+            part += np.arange(0, part.size, width)[:, None]
             axes.append(axis)
-            values.append(np.take_along_axis(vals, part[:, half:half + 1], 1)[:, 0])
-            moved = np.take_along_axis(perm[pos], part, 1)
-            perm = moved[~np.take_along_axis(pad, part, 1)]
+            values.append(np.take(vals, part[:, half]))
+            src = np.take(src, part)
+            src = src[src < n]
+            for row in real:  # 1-d takes; take(axis=1) copies item by item, ~4x slower
+                row[:] = np.take(row, src)
+            ids[:n] = np.take(ids, src)
             sizes = np.column_stack([np.full(len(sizes), half), sizes - half]).ravel()
         starts = np.cumsum(sizes) - sizes
-        pts = self._points[perm]
         self._depth = depth
         self._split_axis, self._split_value = np.concatenate(axes), np.concatenate(values)
         self._leaf_start, self._leaf_size = starts, sizes
-        self._lo = np.ascontiguousarray(np.minimum.reduceat(pts, starts, axis=0).T)
-        self._hi = np.ascontiguousarray(np.maximum.reduceat(pts, starts, axis=0).T)
-        self._columns = np.full((d, n + 1), np.inf)
-        self._columns[:, :n] = pts.T
-        self._ids = np.append(perm, n)
+        self._lo = np.minimum.reduceat(real, starts, axis=1)
+        self._hi = np.maximum.reduceat(real, starts, axis=1)
+        self._columns = columns
+        self._ids = ids
 
     def _home_leaves(self, rows):
         """The leaf each query row reaches by walking down the splits."""

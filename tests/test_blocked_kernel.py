@@ -13,7 +13,8 @@ Derandomized and capped at a few examples per case.
 ``KdTreeIndex.query`` is checked the same way on trees with two or more
 levels (n from 17 to 300), with the tree's query-block row count and its
 per-block buffer cap patched so that m crosses several blocks and blocks
-give up rows to fit.
+give up rows to fit. The kd build itself is checked array by array
+against a row-major reference build kept in this file.
 """
 
 import numpy as np
@@ -149,3 +150,97 @@ def test_multi_level_kd_tree_equals_per_row_scan(case, metric):
         mp.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
         result = tree.query(queries, k)
     _assert_equals_per_row_oracle(result, BruteForceIndex(points, metric), queries, k)
+
+
+TREE_ARRAYS = ("_split_axis", "_split_value", "_leaf_start", "_leaf_size",
+               "_lo", "_hi", "_columns", "_ids")
+
+
+def _per_level_reference_build(points):
+    """Reference kd build, row-major: every level gathers all rows again
+    through the global permutation and pads short nodes with a masked
+    +inf; the kd build must give the same tree."""
+    n, d = points.shape
+    depth = 0
+    while -(-n >> depth) > neighbors._LEAF_SIZE:
+        depth += 1
+    perm = np.arange(n)
+    sizes = np.array([n])
+    axes, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for _ in range(depth):
+        starts = np.cumsum(sizes) - sizes
+        pts = points[perm]
+        spread = (np.maximum.reduceat(pts, starts, axis=0)
+                  - np.minimum.reduceat(pts, starts, axis=0))
+        axis = np.argmax(spread, axis=1)
+        width = int(sizes.max())
+        half = width // 2
+        slot = np.arange(width)
+        pad = slot >= sizes[:, None]
+        pos = np.minimum(starts[:, None] + slot, n - 1)
+        vals = pts[pos, axis[:, None]]
+        vals[pad] = np.inf
+        part = np.argpartition(vals, half, axis=1)
+        axes.append(axis)
+        values.append(np.take_along_axis(vals, part[:, half:half + 1], 1)[:, 0])
+        moved = np.take_along_axis(perm[pos], part, 1)
+        perm = moved[~np.take_along_axis(pad, part, 1)]
+        sizes = np.column_stack([np.full(len(sizes), half), sizes - half]).ravel()
+    starts = np.cumsum(sizes) - sizes
+    pts = points[perm]
+    columns = np.full((d, n + 1), np.inf)
+    columns[:, :n] = pts.T
+    return dict(zip(TREE_ARRAYS, (
+        np.concatenate(axes), np.concatenate(values), starts, sizes,
+        np.ascontiguousarray(np.minimum.reduceat(pts, starts, axis=0).T),
+        np.ascontiguousarray(np.maximum.reduceat(pts, starts, axis=0).T),
+        columns, np.append(perm, n))))
+
+
+@st.composite
+def build_cases(draw):
+    """Training points for a kd build: sizes on and around the powers of
+    two, normal or grid rows with duplicates, constant columns, all-equal
+    rows, and subnormal or huge scales."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.sampled_from([1, 16, 17]),
+                       st.builds(lambda j, e: 2**j + e, st.integers(5, 11), st.sampled_from([-1, 1])),
+                       st.integers(1, 3000)))
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["normal", "grid", "constant columns", "equal rows"]))
+    if kind == "grid":
+        points = rng.integers(0, draw(st.sampled_from([2, 3, 6])), size=(n, d)).astype(float)
+    else:
+        points = rng.normal(size=(n, d))
+    if kind == "constant columns":
+        points[:, rng.random(d) < 0.5] = 1.0
+    if kind == "equal rows":
+        points[:] = points[0]
+    return points * draw(st.sampled_from([1.0, 5e-324, 1e-308, 1e200]))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(points=build_cases())
+@example(points=np.zeros((1, 1)))
+# A leaf whose lowest value in a coordinate is both 0.0 and -0.0: the builds differ there.
+@example(points=np.array([[1, 0], [1, 0], [1, -0.0], [-1, 1], [-2, -0.0], [-0.0, -1],
+                          [1, -0.0], [-0.0, 1], [-0.0, 1], [0, -0.0], [-2, -1], [1, -0.0],
+                          [-0.0, 2], [-1, -1], [-0.0, 1], [-1, -1], [-2, 1]]) * 5e-324)
+def test_kd_build_equals_the_per_level_reference(points):
+    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN)
+    reference = _per_level_reference_build(points)
+    for name, expected in reference.items():
+        built = getattr(tree, name)
+        assert (name, built.dtype, built.shape) == (name, expected.dtype, expected.shape)
+        if name in ("_lo", "_hi"):
+            # Between a leaf's 0.0 and -0.0, numpy's min/max keeps either,
+            # by whether its reduction loop runs over contiguous memory;
+            # box bounds accumulate from +0.0, so they cannot see the sign.
+            built, expected = built + 0.0, expected + 0.0
+        assert built.tobytes() == expected.tobytes(), name
+    queries = np.vstack([points[:4], -points[:4], np.zeros(points.shape[1])])
+    for metric in NUMERIC_METRICS:
+        with np.errstate(over="ignore"):  # squared gaps past float range are inf
+            bounds = [neighbors._box_bounds(lo, hi, queries, queries, metric) for lo, hi in
+                      ((tree._lo, tree._hi), (reference["_lo"], reference["_hi"]))]
+        assert bounds[0].tobytes() == bounds[1].tobytes()

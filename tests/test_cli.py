@@ -237,6 +237,22 @@ class TestPredictCommand:
         assert proc.stderr.startswith(f"error: {query}: row 2") and "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("line, where", [(0, "header row"), (2, "row 2"), (900, "row 900")])
+    def test_undecodable_byte_names_the_file_and_row(self, sample, tmp_path, line, where):
+        # over 8 KiB: the text decoder reads ahead of csv.reader, so an
+        # error caught around the row loop would name an earlier row
+        lines = [b"x1,x2,x3"] + [b"%d.5,%d,%d" % (i, i % 7, i % 3) for i in range(1, 1200)]
+        lines[line] = b"\xff" + lines[line]
+        query = tmp_path / "q.csv"
+        query.write_bytes(b"\n".join(lines) + b"\n")
+        assert query.stat().st_size > 8192
+        proc = run_cli(
+            "predict", "--train", sample, "--query", query,
+            "--target", "y", "--k", "1", "--out", tmp_path / "o.csv",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {query}: {where}: cannot decode byte 0xff as UTF-8\n"
+
 
 class TestDensityCommand:
     @pytest.fixture

@@ -240,8 +240,9 @@ class TestPerCellLoop:
             load_csv(p, "y")
         assert str(err.value) == f"{p}: row 2, column 'a': cannot parse 'q' as a number"
         p.write_bytes(body.replace(b"q", b"2") + b"\xff,4\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(CsvFormatError) as err:
             load_csv(p, "y")
+        assert str(err.value) == f"{p}: row 1003: cannot decode byte 0xff as UTF-8"
 
 
 def _per_cell_reference(path, target, categorical, codebooks):
@@ -447,6 +448,19 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="categorical column 'cat'"):
             write_csv(ds, out, target_name="y")
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_split_training_side_round_trips_with_its_codebook(self, tmp_path, seed):
+        # seeds 2, 3 and 5 leave the codes of c out of debut order
+        rows = "".join(f"{'abc'[i % 3]},{i},{i * i}\n" for i in range(20))
+        ds = load_csv(_write(tmp_path, "c,x,y\n" + rows), "y", categorical_columns={"c"})
+        train, _ = split(ds, SplitSpec(0.8, seed))
+        out = tmp_path / "train.csv"
+        write_csv(train, out, target_name="y")
+        back = load_csv(out, "y", categorical_columns={"c"}, codebooks=train.codebooks)
+        assert back.codebooks == train.codebooks == {"c": ("a", "b", "c")}
+        assert back.features.tobytes() == train.features.tobytes()
+        assert back.target.tobytes() == train.target.tobytes()
 
     def test_labels_and_codebook_survive(self, tmp_path):
         ds = load_csv(_write(tmp_path, "c,x,y\nb,1,1\na,2,2\n"), "y", categorical_columns={"c"})
