@@ -36,6 +36,7 @@ from .distance import DistanceMetric, hamming, manhattan, squared_euclidean
 _LEAF_SIZE = 16
 # Byte cap on each (block x n) buffer of the blocked brute-force kernel;
 # the kd-tree caps each of its per-block buffers at a quarter of it.
+# Both reuse them per call: per-block buffers raised predict_brute_d8 peak_rss_mb 1.4-1.7 MiB.
 _BLOCK_BYTES = 1 << 20
 # Query rows the kd-tree searches together. Rows are sorted by home leaf,
 # so a small block stays spatially compact and its leaf filter stays tight.
@@ -75,27 +76,27 @@ class NeighborSet:
         return len(self.indices)
 
 
-def _accumulate(dist, columns, q, metric, work, mask):
+def _accumulate(dist, columns, q, metric, work):
     """Fill ``dist[i, c]`` with the internal distance from query ``q[i]`` to
     training point c, element for element the IEEE steps of the scalar
     function ``_RANKED[metric]``.
 
     ``columns`` yields, coordinate by coordinate, that coordinate of the
     training points: a row broadcast over the queries, or a matrix shaped
-    like ``dist`` (which may be ``work`` itself). ``work`` and, for
-    hamming, the bool ``mask`` are scratch shaped like ``dist``.
+    like ``dist`` (which may be ``work`` itself). ``work`` is float64
+    scratch shaped like ``dist`` that holds each coordinate's term.
     """
     dist.fill(0.0)
     for j, column in enumerate(columns):
         coord = q[:, j:j + 1]
         if metric is DistanceMetric.HAMMING:
-            dist += np.not_equal(column, coord, out=mask)  # counts are exact in float64
-            continue
-        np.subtract(column, coord, out=work)
-        if metric is DistanceMetric.EUCLIDEAN:
-            np.multiply(work, work, out=work)
+            np.not_equal(column, coord, out=work)  # 0.0 or 1.0; counts are exact in float64
         else:
-            np.abs(work, out=work)
+            np.subtract(column, coord, out=work)
+            if metric is DistanceMetric.EUCLIDEAN:
+                np.multiply(work, work, out=work)
+            else:
+                np.abs(work, out=work)
         dist += work
     return dist
 
@@ -106,21 +107,20 @@ def _nearest_k(dist, k, work, keep, ids=None):
 
     ``ids[i, c]`` is the training row behind ``dist[i, c]`` (default: the
     column c). Every entry at or below its row's k-th smallest value is a
-    candidate; sorting them on (row, distance, training row) and taking the
-    first k of each row is that order. When no row ties its k-th value,
-    every row keeps exactly k candidates, and each row is sorted on its own.
-    ``work`` and the bool ``keep`` are scratch shaped like ``dist``.
+    candidate, so at k = c every entry is; sorting them on (row, distance,
+    training row) and taking the first k of each row is that order. When no
+    row ties its k-th value, every row keeps exactly k candidates, and each
+    row is sorted on its own. ``work`` and the bool ``keep`` are scratch
+    shaped like ``dist``.
     """
     b, c = dist.shape
-    if k == c:
-        keep.fill(True)
-    else:
-        np.copyto(work, dist)
-        work.partition(k - 1, axis=1)
-        np.less_equal(dist, work[:, k - 1:k], out=keep)
+    np.copyto(work, dist)
+    work.partition(k - 1, axis=1)
+    np.less_equal(dist, work[:, k - 1:k], out=keep)
     flat = np.flatnonzero(keep)
     cand = np.take(dist, flat)
     index = flat % c if ids is None else np.take(ids, flat)
+    # Without this per-row sort, sweep_kd_d3 job_s was slower in 5 of 5 alternating bench pairs.
     if flat.size == b * k:
         cand, index = cand.reshape(b, k), index.reshape(b, k)
         order = np.lexsort((index, cand), axis=1)
@@ -241,7 +241,7 @@ class BruteForceIndex(_IndexBase):
             q = rows[start:start + block]
             b = q.shape[0]
             dist, work, keep = acc[:b], scratch[:b], mask[:b]
-            _accumulate(dist, columns, q, self.metric, work, keep)
+            _accumulate(dist, columns, q, self.metric, work)
             indices[start:start + b], distances[start:start + b] = _nearest_k(dist, k, work, keep)
         return indices, distances
 
@@ -301,8 +301,9 @@ class KdTreeIndex(_IndexBase):
             # Sizes at one level differ by at most 1, so the nodes fit one
             # (nodes, widest) matrix; a short node's last slot is the sentinel.
             starts = np.cumsum(sizes) - sizes
-            axis = np.argmax(np.maximum.reduceat(real, starts, axis=1)
-                             - np.minimum.reduceat(real, starts, axis=1), axis=0)
+            with np.errstate(over="ignore"):  # a spread past float range is inf, still the widest
+                axis = np.argmax(np.maximum.reduceat(real, starts, axis=1)
+                                 - np.minimum.reduceat(real, starts, axis=1), axis=0)
             width = int(sizes.max())
             half = width // 2
             src = starts[:, None] + np.arange(width)  # column of each slot
@@ -341,7 +342,7 @@ class KdTreeIndex(_IndexBase):
         to the points at ``positions[i]`` (leaf order; n is the sentinel)."""
         # mode="clip" writes straight into ``out``; every position is valid
         gathered = (np.take(column, positions, out=work, mode="clip") for column in self._columns)
-        return _accumulate(dist, gathered, q, self.metric, work, None)
+        return _accumulate(dist, gathered, q, self.metric, work)
 
     def _candidates(self, scan, live, counts, cand):
         """Fill ``cand`` (b, max count) with the leaf-order positions of the

@@ -200,10 +200,7 @@ def _prefix_rows(model: KnnModel, features: np.ndarray) -> np.ndarray:
 
 def _model_vector(model: KnnModel, q) -> np.ndarray:
     """One raw feature vector in model feature space; rejects anything else."""
-    arr = model.index.check_query(q, vector_only=True)
-    if model.standardizer is not None:
-        arr = model.standardizer.transform(arr[None, :])[0]
-    return arr
+    return _model_rows(model, model.index.check_query(q, vector_only=True)[None, :])[0]
 
 
 def _model_features(model: KnnModel, queries: Dataset) -> np.ndarray:
@@ -213,9 +210,12 @@ def _model_features(model: KnnModel, queries: Dataset) -> np.ndarray:
         or queries.column_kinds != model.train.column_kinds
     ):
         raise SchemaError("query schema does not match the model's training schema")
-    if model.standardizer is not None:
-        queries = apply_standardizer(model.standardizer, queries)
-    return queries.features
+    return _model_rows(model, queries.features)
+
+
+def _model_rows(model: KnnModel, rows: np.ndarray) -> np.ndarray:
+    """A raw (m, d) feature matrix in model feature space."""
+    return rows if model.standardizer is None else model.standardizer.transform(rows)
 
 
 def unit_ball_volume(dim: int) -> float:

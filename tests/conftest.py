@@ -31,9 +31,3 @@ def make_dataset(features, target=None, kinds=None, names=None) -> Dataset:
 @pytest.fixture
 def sample_csv() -> Path:
     return REPO_ROOT / "data" / "synthetic.csv"
-
-
-@pytest.fixture(autouse=True)
-def _isolate_thread_env(monkeypatch):
-    # keep in-process sweeps independent of the ambient shell environment
-    monkeypatch.delenv("KNN_SWEEP_THREADS", raising=False)

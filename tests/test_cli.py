@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -10,6 +9,7 @@ import pytest
 from knnsweep import (
     SplitSpec,
     SweepConfig,
+    cli,
     fit,
     load_csv,
     predict,
@@ -19,16 +19,11 @@ from knnsweep import (
 from conftest import REPO_ROOT, make_dataset
 
 
-def run_cli(*args, threads=None):
-    env = dict(os.environ)
-    env.pop("KNN_SWEEP_THREADS", None)
-    if threads is not None:
-        env["KNN_SWEEP_THREADS"] = str(threads)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "knnsweep", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
         cwd=REPO_ROOT,
     )
 
@@ -117,15 +112,14 @@ class TestSweepCommand:
         lines = table.read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "3", "4", "5", "6"]
 
-    def test_determinism_across_runs_and_thread_counts(self, sample, tmp_path):
+    def test_determinism_across_runs(self, sample, tmp_path):
         outputs = []
-        for tag, threads in (("a", 1), ("b", 5)):
+        for tag in ("a", "b"):
             table = tmp_path / f"{tag}.csv"
             svg = tmp_path / f"{tag}.svg"
             proc = run_cli(
                 "sweep", "--data", sample, "--target", "y",
                 "--out-table", table, "--plot-rmse", svg,
-                threads=threads,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append((table.read_bytes(), svg.read_bytes(), proc.stdout))
@@ -404,3 +398,17 @@ class TestOverflowFallbacks:
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert out.read_text().splitlines() == ["row_index,prediction", "0,3"]
+
+    def test_kd_build_over_coordinates_spanning_the_float_range_warns_nothing(
+            self, tmp_path, capsys):
+        # A node's spread max - min overflows to inf; the tree is still right.
+        train = tmp_path / "train.csv"
+        train.write_text("x,y\n" + "1.7e308,1\n-1.7e308,2\n" * 10)
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x\n0\n")
+        out = tmp_path / "p.csv"
+        assert cli.main(["predict", "--train", str(train), "--query", str(qpath),
+                         "--target", "y", "--k", "1", "--no-standardize",
+                         "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == ["row_index,prediction", "0,1"]
+        assert capsys.readouterr().err == ""
