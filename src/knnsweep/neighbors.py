@@ -38,6 +38,9 @@ _LEAF_SIZE = 16
 # the kd-tree caps each of its per-block buffers at a quarter of it.
 # Both reuse them per call: per-block buffers raised predict_brute_d8 peak_rss_mb 1.4-1.7 MiB.
 _BLOCK_BYTES = 1 << 20
+# The euclidean filter's matmul stays finite for rows with S + t_i at or
+# below this (see BruteForceIndex); other rows take the exact loop.
+_FILTER_LIMIT = 2.0**1000
 # Query rows the kd-tree searches together. Rows are sorted by home leaf,
 # so a small block stays spatially compact and its leaf filter stays tight.
 _TREE_BLOCK_ROWS = 16
@@ -211,15 +214,88 @@ class _IndexBase:
 class BruteForceIndex(_IndexBase):
     """Reference backend: an exact scan over every training row.
 
-    ``query`` runs a blocked kernel over B = max(1, 1 MiB // (8 n)) query
-    rows at a time. Each block is one (B, n) distance matrix, accumulated
-    coordinate by coordinate in the same IEEE steps as the scalar distance
-    functions, so the result is bit-identical to the per-row scan
-    ``_search``, which stays as the reference. Besides a (d, n)
-    column-major copy of the training rows made per call, the working set
-    is two float64 (B, n) buffers and one bool (B, n) mask, reused across
-    blocks. The kernel runs on the calling thread only.
+    ``query`` works through B = max(1, 1 MiB // (8 n)) query rows at a
+    time, in three reused buffers: two float64 (B, n) matrices and one
+    bool (B, n) mask. A block's candidate arrays hold at most B n entries
+    each, so they stay within 1 MiB too. The per-row scan ``_search``
+    stays as the reference, and every answer is bit-identical to it.
+
+    Euclidean rows are filtered, then verified. At build, with mu the
+    training column means: x' = fl(x - mu) per training row, s = fl(|x'|^2),
+    and the (d + 1, n) matrix A with rows -2 x'^T and fl(s (1 - c)). Per
+    block, F = [q - mu, 1] @ A is one BLAS matmul, K_i is the k-th smallest
+    F of row i, and column j is a candidate for row i when
+    F_ij <= K_i + 2c (S + t_i) + 2 tau, with S = max s and
+    t_i = fl(|q_i - mu|^2). Only the candidates' distances are computed,
+    from the raw coordinates in the scalar order, and ranked by
+    :func:`_nearest_k`. Here c = (8d + 64) 2^-52 and
+    tau = (d + 2) 2^-1000. Rows with S + t_i > 2^1000, where F could
+    overflow, and the manhattan and hamming metrics take the exact loop:
+    every distance of the block accumulated coordinate by coordinate from
+    a column-major copy of the training rows made per call.
+
+    Why the filter is exact. Take IEEE arithmetic with gradual underflow,
+    u = 2^-53 and eta = 2^-1074: a sum or difference is (a + b)(1 + e)
+    with |e| <= u, exact where the result is subnormal, and a product or
+    fused multiply-add may add at most eta / 2 more. So an m-term sum or
+    inner product, in any order and with or without FMA, is within
+    gamma_m = m u / (1 - m u) times the sum of the terms' magnitudes, plus
+    m eta (Higham 2002, 3.1). Take d < 2^33, so that every (1 + O(d u))
+    factor below is under 1.01, and a row that passes the route check, so
+    that nothing overflows. For a query q and a training row x:
+
+    1. Centering. fl(x - mu) - fl(q - mu) is within u (|x - mu| + |q - mu|)
+       of x - q per coordinate, so D = |x - q|^2 and D' = |x' - q'|^2 (both
+       exact) differ by at most 4.01 u (|x - mu|^2 + |q - mu|^2); and
+       |x - mu|^2 <= 1.01 (s + d eta), the same for q with t.
+    2. Scalar order. The computed distance E sums the d rounded squares
+       left to right from 0.0: |E - D| <= gamma_(d+2) D + d eta, with
+       D <= 2 (|x - mu|^2 + |q - mu|^2).
+    3. Filter. With Sigma = -2 x'.q' + fl(s (1 - c)), the exact value of
+       the inner product that gives F, G = F + t + c s satisfies
+       G - D' = (F - Sigma) + (fl(s (1 - c)) - (1 - c) s) + (s - |x'|^2)
+       + (t - |q'|^2), where -2 x' is exact. As 2 |x'_j q'_j| <=
+       x'_j^2 + q'_j^2, the four parts are at most
+       gamma_(d+1) (|x'|^2 + |q'|^2 + 1.01 s) + (d + 1) eta, u s + eta / 2,
+       gamma_d |x'|^2 + d eta and gamma_d |q'|^2 + d eta.
+
+    Summed, |E - G| <= c' (s + t) + tau' with c' = (5.2 d + 11.4) u and
+    tau' = (4 d + 4) eta. As c >= c', every column has
+    F + t - c' t - tau' <= E <= F + t + (c + c') s + c' t + tau': the
+    factor 1 - c in A takes s out of the lower bound. The k columns with
+    F <= K_i thus have E <= K_i + t + (c + c') S + c' t + tau', and so has
+    the k-th smallest E. Any column that ties or beats it has
+    F <= K_i + (c + c') S + 2 c' t + 2 tau', at least
+    (c - c') (S + t) + 2 (tau - tau') below the exact bound
+    K_i + 2c (S + t) + 2 tau. Since |K_i| <= 2.1 (S + t) + tau', the
+    computed bound fl(fl(K_i + fl(2c fl(S + t))) + 2 tau) is within
+    5 u (S + t + tau) + eta of it, which c - c' >= 116 u and
+    tau >= 2^72 tau' cover. So every column that ties or beats the k-th
+    distance is a candidate, and the (distance, row index) answer is the
+    one over all n columns. The summation order and thread count of the
+    BLAS matmul can change only which extra columns are candidates, never
+    the answer. tau also covers a BLAS that flushes subnormal results to
+    zero, which costs at most 2^-1022 per operation. S + t <= 2^1000
+    keeps F, E and the bound far below overflow. A column mean or a norm
+    that is not finite leaves S not finite, and every row then takes the
+    exact loop.
     """
+
+    def __init__(self, points, metric):
+        super().__init__(points, metric)
+        if metric is DistanceMetric.EUCLIDEAN:
+            n, d = self._points.shape
+            self._slack = (8 * d + 64) * 2.0**-52
+            self._floor = (d + 2) * 2.0**-1000
+            self._weights = np.empty((d + 1, n))
+            self._flat = np.ascontiguousarray(self._points, dtype=np.float64).reshape(-1)
+            with np.errstate(over="ignore", invalid="ignore"):  # S is then inf or nan
+                self._mean = self._points.mean(axis=0)
+                centered = np.subtract(self._points.T, self._mean[:, None], out=self._weights[:d])
+                norms = np.einsum("ij,ij->j", centered, centered, out=self._weights[d])
+                self._max_norm = norms.max()
+                norms *= 1.0 - self._slack
+                centered *= -2.0
 
     def _search(self, q, k):
         """The k nearest rows to one query ``q`` by the scalar distance."""
@@ -233,17 +309,56 @@ class BruteForceIndex(_IndexBase):
         block = max(1, _BLOCK_BYTES // (8 * n))
         indices = np.empty((m, k), dtype=np.int64)
         distances = np.empty((m, k), dtype=np.float64)
-        acc = np.empty((min(block, m), n), dtype=np.float64)
+        acc = np.empty(min(block, m) * n)
         scratch = np.empty_like(acc)
         mask = np.empty(acc.shape, dtype=bool)
-        columns = np.ascontiguousarray(self._points.T)
-        for start in range(0, m, block):
-            q = rows[start:start + block]
-            b = q.shape[0]
-            dist, work, keep = acc[:b], scratch[:b], mask[:b]
-            _accumulate(dist, columns, q, self.metric, work)
-            indices[start:start + b], distances[start:start + b] = _nearest_k(dist, k, work, keep)
+        exact = np.arange(m)
+        if self.metric is DistanceMetric.EUCLIDEAN and self._max_norm <= _FILTER_LIMIT:
+            centered = np.ones((m, self.dim + 1))
+            np.subtract(rows, self._mean, out=centered[:, :-1])
+            norms = np.einsum("ij,ij->i", centered[:, :-1], centered[:, :-1])
+            filtered = self._max_norm + norms <= _FILTER_LIMIT
+            fast = np.flatnonzero(filtered)
+            for start in range(0, fast.size, block):
+                sel = fast[start:start + block]
+                indices[sel], distances[sel] = self._filter_block(
+                    rows[sel], centered[sel], norms[sel], k, acc, scratch, mask)
+            exact = np.flatnonzero(~filtered)
+        if exact.size:
+            columns = np.ascontiguousarray(self._points.T)
+            for start in range(0, exact.size, block):
+                sel = exact[start:start + block]
+                b = sel.size
+                dist, work = _view(acc, b, n), _view(scratch, b, n)
+                _accumulate(dist, columns, rows[sel], self.metric, work)
+                indices[sel], distances[sel] = _nearest_k(dist, k, work, _view(mask, b, n))
         return indices, distances
+
+    def _filter_block(self, q, centered, norms, k, acc, scratch, mask):
+        """(indices, squared distances), each (b, k), for the b query rows
+        ``q`` by the euclidean filter and its exact verification; see the
+        class docstring. ``centered`` is [q - mu, 1] and ``norms`` is t."""
+        b, n, d = q.shape[0], self.n_points, self.dim
+        approx = np.matmul(centered, self._weights, out=_view(acc, b, n))
+        work = _view(scratch, b, n)
+        np.copyto(work, approx)
+        work.partition(k - 1, axis=1)
+        bound = work[:, k - 1] + 2 * self._slack * (self._max_norm + norms) + 2 * self._floor
+        # flatnonzero: on a (1, 100000) mask 2-d nonzero took 0.3-1.2 ms, this 0.03-0.09 ms
+        row, col = np.divmod(np.flatnonzero(
+            np.less_equal(approx, bound[:, None], out=_view(mask, b, n))), n)
+        counts = np.bincount(row, minlength=b)
+        c = int(counts.max())
+        cand = np.zeros((b, c), dtype=np.intp)  # padding points at row 0, its distance set to inf
+        cand[row, np.arange(row.size) - (np.cumsum(counts) - counts)[row]] = col
+        offset = cand * d
+        # F and its partitioned copy are spent: their buffers take the candidates.
+        dist, work = _view(acc, b, c), _view(scratch, b, c)
+        # mode="clip" writes straight into ``out``; every offset + j is valid
+        gathered = (np.take(self._flat[j:], offset, out=work, mode="clip") for j in range(d))
+        _accumulate(dist, gathered, q, DistanceMetric.EUCLIDEAN, work)
+        dist[np.arange(c) >= counts[:, None]] = np.inf
+        return _nearest_k(dist, k, work, _view(mask, b, c), ids=cand)
 
 
 class KdTreeIndex(_IndexBase):

@@ -10,6 +10,14 @@ floats whose sums round, along with n = 1, k = n, subnormal coordinates,
 squared distances that all overflow to inf, and hamming codes.
 Derandomized and capped at a few examples per case.
 
+The euclidean filter of ``BruteForceIndex`` (a matmul picks candidates,
+the scalar-order distances rank them) is checked the same way on hostile
+families: cancellation under a common offset, rows a few ulps apart,
+duplicates that tie at the k-th distance, integer grids, subnormal and
+1e-160 scales, 1e150 and 1e160 scales, and one +-1e300 row that sends
+every query to the exact loop. With the filter's constants c and tau set
+to 0, the integer-grid, tie and 1e-160 families fail.
+
 ``KdTreeIndex.query`` is checked the same way on trees with two or more
 levels (n from 17 to 300), with the tree's query-block row count and its
 per-block buffer cap patched so that m crosses several blocks and blocks
@@ -108,6 +116,79 @@ def test_equal_roots_keep_their_squared_order():
     for index in (brute, KdTreeIndex(points, DistanceMetric.EUCLIDEAN)):
         ns = index.query(q, 1)
         assert (ns.indices.tolist(), ns.distances.tolist()) == ([1], [1.0])
+
+
+HOSTILE_FAMILIES = ("cancellation", "ulp apart", "ties at the k-th", "integer grid",
+                    "subnormal", "1e-160", "1e150", "1e160", "one huge row")
+# Families whose every query takes the euclidean filter; "one huge row"
+# sends every query to the exact loop instead.
+FILTERED_FAMILIES = ("cancellation", "ulp apart", "ties at the k-th", "integer grid",
+                     "subnormal", "1e-160")
+
+
+def _hostile_rows(family, rng, rows, d):
+    """``rows`` rows of d coordinates from one hostile family."""
+    if family == "cancellation":  # a common offset of 1e8, a spread of 1e-4
+        return 1e8 + 1e-4 * rng.normal(size=(rows, d))
+    if family == "ulp apart":
+        base = rng.normal(size=d)
+        return base + np.spacing(base) * rng.integers(-2, 3, size=(rows, d))
+    if family == "ties at the k-th":  # three points, each repeated
+        return (rng.integers(-2, 3, size=(3, d)) * 0.37)[rng.integers(0, 3, size=rows)]
+    if family == "integer grid":
+        return rng.integers(-3, 4, size=(rows, d)).astype(float)
+    if family == "subnormal":
+        return rng.integers(0, 5, size=(rows, d)) * 5e-324
+    if family == "one huge row":
+        points = rng.normal(size=(rows, d))
+        points[rng.integers(0, rows - 4)] = rng.choice([-1e300, 1e300], size=d)
+        return points
+    # "1e-160", "1e150", "1e160": normal rows and grid rows with ties, scaled
+    points = rng.normal(size=(rows, d))
+    grid = rng.random(rows) < 0.5
+    points[grid] = rng.integers(-3, 4, size=(int(grid.sum()), d))
+    return points * float(family)
+
+
+@st.composite
+def hostile_cases(draw, family):
+    """(training points, query rows, k, rows per block): queries copy
+    training rows or are four fresh rows of the same family. Sizes come
+    from the drawn seed, so that derandomized runs spread over them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # with n = 1 the huge row would be the mean, at distance 0
+    n = 1 if family != "one huge row" and rng.random() < 0.1 else int(rng.integers(2, 200))
+    d = int(rng.integers(1, 9))
+    rows = _hostile_rows(family, rng, n + 4, d)
+    queries = rows[rng.integers(0, n + 4, size=int(rng.integers(1, 13)))]
+    k = n if rng.random() < 0.25 else int(rng.integers(1, n + 1))
+    return rows[:n], queries, k, int(rng.integers(1, 4))
+
+
+@pytest.mark.parametrize("family", HOSTILE_FAMILIES)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_euclidean_filter_equals_per_row_scan_and_kd_tree_on_hostile_inputs(family, data):
+    points, queries, k, block = data.draw(hostile_cases(family))
+    index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+    filtered = []
+    filter_block = BruteForceIndex._filter_block
+
+    def counted(self, q, *args):
+        filtered.append(len(q))
+        return filter_block(self, q, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BruteForceIndex, "_filter_block", counted)
+        result = _query_blocked(index, queries, k, block)
+    if family in FILTERED_FAMILIES:
+        assert sum(filtered) == len(queries)
+    if family == "one huge row":
+        assert not filtered
+    _assert_equals_per_row_oracle(result, index, queries, k)
+    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN).query(queries, k)
+    assert result.indices.tobytes() == tree.indices.tobytes()
+    assert result.distances.tobytes() == tree.distances.tobytes()
 
 
 @PROPERTY_SETTINGS

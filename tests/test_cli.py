@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -19,12 +20,13 @@ from knnsweep import (
 from conftest import REPO_ROOT, make_dataset
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "knnsweep", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
+        env=env,
     )
 
 
@@ -168,6 +170,28 @@ class TestPredictCommand:
         assert lines[0] == "row_index,prediction"
         got = [float(line.split(",")[1]) for line in lines[1:]]
         assert got == data.target[:25].tolist()
+
+    def test_brute_force_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # The euclidean filter's matmul may run on BLAS threads, which can
+        # change its summation order; only the candidate set may change.
+        rng = np.random.default_rng(2000)
+        rows = rng.normal(size=(2000, 9))
+        queries = np.vstack([rng.normal(size=(180, 8)), rows[:20, :8]])
+        train, query = tmp_path / "train.csv", tmp_path / "query.csv"
+        header = ",".join(f"x{j}" for j in range(8))
+        for path, table, names in ((train, rows, header + ",y"), (query, queries, header)):
+            path.write_text("\n".join([names] + [",".join(f"{v:.17g}" for v in row)
+                                                 for row in table]) + "\n")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"predictions_{threads}.csv"
+            proc = run_cli("predict", "--train", train, "--query", query, "--target", "y",
+                           "--k", "10", "--weighting", "inverse", "--backend", "brute",
+                           "--out", out, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1].splitlines()) == 201
 
     def test_mismatched_query_columns(self, sample, tmp_path):
         query = tmp_path / "bad.csv"
