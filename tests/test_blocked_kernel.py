@@ -16,7 +16,12 @@ families: cancellation under a common offset, rows a few ulps apart,
 duplicates that tie at the k-th distance, integer grids, subnormal and
 1e-160 scales, 1e150 and 1e160 scales, and one +-1e300 row that sends
 every query to the exact loop. With the filter's constants c and tau set
-to 0, the integer-grid, tie and 1e-160 families fail.
+to 0, the integer-grid, tie and 1e-160 families fail. Three more families
+patch the sampling constants so that K_i comes from every s-th column
+with s > 1: the sampled rows far from every query (nearly every column is
+a candidate), a tie at the k-th distance split between sampled and
+unsampled rows, and queries that copy unsampled rows. With the sample
+partitioned at k - 2 instead of k - 1, the tie-split family fails.
 
 ``KdTreeIndex.query`` is checked the same way on trees with two or more
 levels (n from 17 to 300), with the tree's query-block row count and its
@@ -118,12 +123,15 @@ def test_equal_roots_keep_their_squared_order():
         assert (ns.indices.tolist(), ns.distances.tolist()) == ([1], [1.0])
 
 
+# Families on training rows 0, s, 2s, ... (the columns the filter's K_i
+# sample reads), with the sampling constants patched so that s > 1.
+SAMPLED_FAMILIES = ("sampled rows far", "tie split by the sample", "copies of unsampled rows")
 HOSTILE_FAMILIES = ("cancellation", "ulp apart", "ties at the k-th", "integer grid",
-                    "subnormal", "1e-160", "1e150", "1e160", "one huge row")
+                    "subnormal", "1e-160", "1e150", "1e160", "one huge row", *SAMPLED_FAMILIES)
 # Families whose every query takes the euclidean filter; "one huge row"
 # sends every query to the exact loop instead.
 FILTERED_FAMILIES = ("cancellation", "ulp apart", "ties at the k-th", "integer grid",
-                     "subnormal", "1e-160")
+                     "subnormal", "1e-160", *SAMPLED_FAMILIES)
 
 
 def _hostile_rows(family, rng, rows, d):
@@ -150,39 +158,83 @@ def _hostile_rows(family, rng, rows, d):
     return points * float(family)
 
 
+def _sampled_case(family, rng):
+    """(training points, query rows, k, s) for a family of
+    ``SAMPLED_FAMILIES``, with k <= n // s, so that a K_i sample of
+    stride s holds at least k columns."""
+    s = int(rng.integers(2, 5))
+    n = int(rng.integers(2 * s, 200))
+    k = int(rng.integers(1, n // s + 1))
+    d = int(rng.integers(1, 9))
+    unsampled = np.flatnonzero(np.arange(n) % s)
+    m = int(rng.integers(1, 13))
+    if family == "sampled rows far":  # K_i is huge, so nearly every column is a candidate
+        points = rng.normal(size=(n, d))
+        points[::s] += 1e3
+        fresh = rng.normal(size=(m, d))
+        copies = points[rng.choice(unsampled, size=m)]
+        return points, np.where(rng.random((m, 1)) < 0.5, fresh, copies), k, s
+    if family == "tie split by the sample":
+        # k - 1 rows at the query, then rows at one distance on both sides
+        # of the sample, then far rows; grid coordinates keep the tie exact
+        q = rng.integers(-3, 4, size=d).astype(float)
+        tie = q + np.eye(d)[0]
+        points = q + 3.0 * rng.choice([-1.0, 1.0], size=(n, d))
+        sampled = s * int(rng.integers(0, (n - 1) // s + 1))
+        rest = rng.permutation(np.setdiff1d(np.arange(n), [sampled, unsampled[0]]))
+        points[[sampled, unsampled[0], *rest[:int(rng.integers(0, 3))]]] = tie
+        points[rest[len(rest) - k + 1:]] = q
+        return points, np.tile(q, (m, 1)), k, s
+    # "copies of unsampled rows": each query is at distance 0 from an
+    # unsampled row only
+    base = ("cancellation", "ulp apart", "integer grid")[int(rng.integers(0, 3))]
+    points = _hostile_rows(base, rng, n, d)
+    return points, points[rng.choice(unsampled, size=m)], k, s
+
+
 @st.composite
 def hostile_cases(draw, family):
-    """(training points, query rows, k, rows per block): queries copy
-    training rows or are four fresh rows of the same family. Sizes come
-    from the drawn seed, so that derandomized runs spread over them."""
+    """(training points, query rows, k, rows per block, K_i sample stride
+    to patch in or None): queries copy training rows or are four fresh
+    rows of the same family. Sizes come from the drawn seed, so that
+    derandomized runs spread over them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family in SAMPLED_FAMILIES:
+        points, queries, k, stride = _sampled_case(family, rng)
+        return points, queries, k, int(rng.integers(1, 4)), stride
     # with n = 1 the huge row would be the mean, at distance 0
     n = 1 if family != "one huge row" and rng.random() < 0.1 else int(rng.integers(2, 200))
     d = int(rng.integers(1, 9))
     rows = _hostile_rows(family, rng, n + 4, d)
     queries = rows[rng.integers(0, n + 4, size=int(rng.integers(1, 13)))]
     k = n if rng.random() < 0.25 else int(rng.integers(1, n + 1))
-    return rows[:n], queries, k, int(rng.integers(1, 4))
+    return rows[:n], queries, k, int(rng.integers(1, 4)), None
 
 
 @pytest.mark.parametrize("family", HOSTILE_FAMILIES)
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_euclidean_filter_equals_per_row_scan_and_kd_tree_on_hostile_inputs(family, data):
-    points, queries, k, block = data.draw(hostile_cases(family))
+    points, queries, k, block, stride = data.draw(hostile_cases(family))
     index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
-    filtered = []
+    filtered, strides = [], set()
     filter_block = BruteForceIndex._filter_block
 
-    def counted(self, q, *args):
+    def counted(self, q, centered, norms, k, sample_stride, *buffers):
         filtered.append(len(q))
-        return filter_block(self, q, *args)
+        strides.add(sample_stride)
+        return filter_block(self, q, centered, norms, k, sample_stride, *buffers)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(BruteForceIndex, "_filter_block", counted)
+        if stride is not None:  # s = min(stride, n // k), which is stride here
+            mp.setattr(neighbors, "_SAMPLE_STRIDE", stride)
+            mp.setattr(neighbors, "_SAMPLE_COLUMNS_PER_K", 1)
         result = _query_blocked(index, queries, k, block)
     if family in FILTERED_FAMILIES:
         assert sum(filtered) == len(queries)
+    if family in SAMPLED_FAMILIES:
+        assert strides == {stride} and stride > 1
     if family == "one huge row":
         assert not filtered
     _assert_equals_per_row_oracle(result, index, queries, k)

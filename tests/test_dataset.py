@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -402,6 +403,66 @@ def test_loader_equals_the_per_cell_reference(tmp_path_factory, data, n):
     assert _loaded(p, target, categorical, codebooks)[0] == _per_cell_reference(
         p, target, categorical, codebooks)
 
+
+def _byte_search_data_lines(raw, skip):
+    """The pre-scan written with byte searches, the reference for
+    ``dataset._data_lines``: every pattern and every block searched in
+    the whole string."""
+    step = max(csv.field_size_limit() // 2, 1)
+    if any(bad in raw for bad in (b"\0", b"\n\n", b"\r\r", b"\n\r")) or any(
+            raw.find(b"\n", i, i + step) < 0 and raw.find(b"\r", i, i + step) < 0
+            for i in range(0, len(raw), step)):
+        return 0
+    breaks = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+    return breaks + (not raw.endswith((b"\n", b"\r"))) - skip
+
+
+# short lines, each ended by LF, CR LF, CR or nothing (which joins it to
+# the next); an empty line is a blank line, and a NUL is placed on its own
+_SCAN_INPUTS = st.lists(st.tuples(
+    st.sampled_from([b"1", b"1,2", b'"a",23', b"23,1,a", b'1"', b",", b""]),
+    st.sampled_from([b"\n", b"\r\n", b"\r", b""])), max_size=12).map(
+    lambda lines: b"".join(line + end for line, end in lines))
+
+
+# csv.field_size_limit 8 makes 4-byte blocks, and 4-byte spans at _SCAN_BYTES 4
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(raw=_SCAN_INPUTS, nul=st.sampled_from([None] * 9 + [0, 7, 48]), skip=st.integers(0, 2),
+       limit=st.sampled_from([8, 12, 20, 6, 4, 131072]), span=st.sampled_from([1, 2, 3, 5, 8]))
+@example(raw=b"1,2\r\n3,4\n", nul=None, skip=0, limit=8, span=4)  # CR LF across a span edge
+@example(raw=b"1,2\n\n3\n", nul=None, skip=0, limit=8, span=4)  # LF LF across a span edge
+@example(raw=b"a,y\n1,2\r", nul=None, skip=1, limit=8, span=4)  # a lone CR at the end
+@example(raw=b"a,y\n1,2\n", nul=5, skip=1, limit=8, span=4)
+@example(raw=b"", nul=None, skip=0, limit=8, span=4)
+@example(raw=b"", nul=None, skip=1, limit=131072, span=1)
+@example(raw=b"a,y\n1,2", nul=None, skip=1, limit=8, span=4)  # no line break at the end
+def test_data_lines_equals_the_byte_search(raw, nul, skip, limit, span):
+    if nul is not None:
+        raw = raw[:nul] + b"\0" + raw[nul:]
+    old = csv.field_size_limit(limit)
+    try:
+        with mock.patch.object(dataset, "_SCAN_BYTES", span):
+            got = dataset._data_lines(raw, skip)
+        want = _byte_search_data_lines(raw, skip)
+    finally:
+        csv.field_size_limit(old)
+    assert (type(got), got) == (int, want)
+
+
+def test_data_lines_peaks_below_one_mib_on_a_4_mb_file():
+    # numpy reports its buffers to tracemalloc; masks over the whole file
+    # would peak at several MiB here
+    rows = np.random.Generator(np.random.PCG64(11)).normal(size=(50_000, 4)).tolist()
+    raw = ("x0,x1,x2,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)).encode()
+    assert len(raw) > 3_500_000
+    tracemalloc.start()
+    try:
+        lines = dataset._data_lines(raw, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == 50_000
+    assert peak < 1 << 20
 
 class TestRoundTrip:
     def test_numeric_and_categorical_bit_exact(self, tmp_path):
