@@ -246,27 +246,32 @@ def _data_lines(raw: bytes, skip: int) -> int:
     within one line is shorter than that where every block of half that
     many bytes holds a line break.
 
-    The bytes are read in spans of whole blocks, about ``_SCAN_BYTES``
-    each and at least one block, so at csv's default limit the masks stay
-    small whatever the file's size. A span also reads the byte past its
-    end, so a pair of line breaks across two spans is seen: any pair but
-    CR LF is a blank line."""
+    The bytes are read in spans of ``_SCAN_BYTES``, so the masks stay
+    small whatever the file's size and the limit. A span also reads the
+    byte past its end, so a pair of line breaks across two spans is seen:
+    any pair but CR LF is a blank line. The block of the last break seen
+    carries across spans, so a block split by a span edge is seen whole."""
     step = max(csv.field_size_limit() // 2, 1)
     if b"\0" in raw:
         return 0
     data = np.frombuffer(raw, dtype=np.uint8)
-    span = max(_SCAN_BYTES // step, 1) * step
-    breaks = 0
-    for start in range(0, data.size, span):
-        part = data[start:start + span + 1]
-        own = min(span, data.size - start)
+    breaks, last = 0, -1
+    for start in range(0, data.size, _SCAN_BYTES):
+        part = data[start:start + _SCAN_BYTES + 1]
+        own = min(_SCAN_BYTES, data.size - start)
         cr, lf = part == 13, part == 10
         brk = cr | lf
         pairs = int(np.count_nonzero(brk[:-1] & brk[1:]))
         crlf = int(np.count_nonzero(cr[:-1] & lf[1:]))
-        if pairs != crlf or not np.logical_or.reduceat(brk[:own], np.arange(0, own, step)).all():
+        first, head = divmod(start, step)  # the block that holds start, and its bytes before start
+        hit = np.logical_or.reduceat(brk[:own], np.maximum(np.arange(-head, own, step), 0))
+        hit = hit.tobytes().rstrip(b"\0")  # a byte per block, from first to the last with a break
+        if pairs != crlf or hit and (last + 1 < first or 0 in hit[last + 1 - first:]):
             return 0
         breaks += int(np.count_nonzero(brk[:own])) - crlf
+        last = first + len(hit) - 1 if hit else last
+    if last != (data.size - 1) // step:
+        return 0
     return breaks + (not raw.endswith((b"\n", b"\r"))) - skip
 
 

@@ -7,8 +7,10 @@ byte for byte, the per-row reference scan ``BruteForceIndex._search`` and,
 for euclidean and manhattan, the kd-tree. Inputs come from small grids so
 that duplicated rows and mass distance ties occur, mixed with arbitrary
 floats whose sums round, along with n = 1, k = n, subnormal coordinates,
-squared distances that all overflow to inf, and hamming codes.
-Derandomized and capped at a few examples per case.
+squared distances that all overflow to inf, a 1.5e307 scale at which
+manhattan distances overflow to inf and tie the sentinel that pads
+candidate rows, and hamming codes. Derandomized and capped at a few
+examples per case. The exact loop is checked to copy no training rows.
 
 The euclidean filter of ``BruteForceIndex`` (a matmul picks candidates,
 the scalar-order distances rank them) is checked the same way on hostile
@@ -29,6 +31,8 @@ per-block buffer cap patched so that m crosses several blocks and blocks
 give up rows to fit. The kd build itself is checked array by array
 against a row-major reference build kept in this file.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,7 +65,8 @@ def kernel_cases(draw, categorical=False):
     queries = draw(st.lists(st.one_of(st.sampled_from(points),
                                       st.lists(codes, min_size=d, max_size=d)),
                             min_size=m, max_size=m))
-    scale = 1.0 if categorical else draw(st.sampled_from([1.0, 0.37, 1e-308, 5e-324, 1e200]))
+    scale = 1.0 if categorical else draw(
+        st.sampled_from([1.0, 0.37, 1e-308, 5e-324, 1e200, 1.5e307]))
     return (np.array(points, dtype=np.float64) * scale,
             np.array(queries, dtype=np.float64) * scale,
             draw(st.one_of(st.just(n), st.integers(1, n))), block)
@@ -110,6 +115,27 @@ def test_blocked_kernel_equals_per_row_scan_and_kd_tree(case, metric):
     tree = KdTreeIndex(points, metric).query(queries, k)
     assert result.indices.tobytes() == tree.indices.tobytes()
     assert result.distances.tobytes() == tree.distances.tobytes()
+
+
+@pytest.mark.parametrize("metric", [DistanceMetric.MANHATTAN, DistanceMetric.EUCLIDEAN])
+def test_exact_loop_copies_no_training_rows(metric):
+    # numpy reports its buffers to tracemalloc; a per-call copy of the
+    # training rows alone would take n d 8 bytes
+    n, d = 20_000, 8
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(n, d))
+    points[7] = rng.choice([-1e300, 1e300], size=d)  # euclidean rows then skip the filter
+    index = BruteForceIndex(points, metric)
+    if metric is DistanceMetric.EUCLIDEAN:
+        assert index._max_norm > neighbors._FILTER_LIMIT
+    queries = rng.normal(size=(3, d))
+    tracemalloc.start()
+    try:
+        index.query(queries, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8
 
 
 def test_equal_roots_keep_their_squared_order():
@@ -265,7 +291,7 @@ def tree_cases(draw):
     m = draw(st.integers(1, 40))
     queries = np.where(rng.random((m, 1)) < 0.5, points[rng.integers(0, n, size=m)],
                        rng.integers(-1, 4, size=(m, d)))
-    scale = draw(st.sampled_from([1.0, 0.37, 1e-308, 5e-324, 1e200]))
+    scale = draw(st.sampled_from([1.0, 0.37, 1e-308, 5e-324, 1e200, 1.5e307]))
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     # 8 * 4 * c bytes caps each kd-tree block buffer at c float64 entries
     block_bytes = draw(st.sampled_from([neighbors._BLOCK_BYTES, 32, 32 * 40, 32 * 500]))

@@ -425,7 +425,7 @@ _SCAN_INPUTS = st.lists(st.tuples(
     lambda lines: b"".join(line + end for line, end in lines))
 
 
-# csv.field_size_limit 8 makes 4-byte blocks, and 4-byte spans at _SCAN_BYTES 4
+# csv.field_size_limit 8 makes 4-byte blocks; spans of 1-8 bytes split them or hold several
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(raw=_SCAN_INPUTS, nul=st.sampled_from([None] * 9 + [0, 7, 48]), skip=st.integers(0, 2),
        limit=st.sampled_from([8, 12, 20, 6, 4, 131072]), span=st.sampled_from([1, 2, 3, 5, 8]))
@@ -449,18 +449,21 @@ def test_data_lines_equals_the_byte_search(raw, nul, skip, limit, span):
     assert (type(got), got) == (int, want)
 
 
-def test_data_lines_peaks_below_one_mib_on_a_4_mb_file():
+@pytest.mark.parametrize("limit", [131072, 1 << 30], ids=["default-limit", "raised-limit"])
+def test_data_lines_peaks_below_one_mib_on_a_4_mb_file(limit):
     # numpy reports its buffers to tracemalloc; masks over the whole file
     # would peak at several MiB here
     rows = np.random.Generator(np.random.PCG64(11)).normal(size=(50_000, 4)).tolist()
     raw = ("x0,x1,x2,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)).encode()
     assert len(raw) > 3_500_000
+    old = csv.field_size_limit(limit)
     tracemalloc.start()
     try:
         lines = dataset._data_lines(raw, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        csv.field_size_limit(old)
     assert lines == 50_000
     assert peak < 1 << 20
 

@@ -29,6 +29,13 @@ SWEEP_INVERSE_BRUTE = {
     "r2.svg": "2ff256d5f95ad0a99bb2d4bf6e06fc811a4dd22ed3a03e5a3fd88c5ce60a2b14",
     "stdout": "40f67fc8ddf8d4dbd6b2ebe8a29513744d4305fb83cda588b4932173ca4b7cd3",
 }
+# the kd-tree and the exact brute-force loop give the same bytes
+SWEEP_MANHATTAN = {
+    "table.csv": "fba8ca49c7ed3d0c147065a86300e5ec17e9fbceb53b0865c4ac97e0ac74bbc3",
+    "rmse.svg": "8271ca171fcdb446bc921c867b13cbe82c1d65799ae4ff3cc4e55ddee36adc7a",
+    "r2.svg": "e87ec5e6b297091bffe572a3be8e2461910adb4a75af5b7d96a7ce9ea0303ac6",
+    "stdout": "f0ed8013e124479913bbd375c6544f0a75ee6edd594112e6185d99809a236444",
+}
 EVAL_K5_STDOUT = "e0806398a66839634001c10a772cbbbfa13b54f0f7d616a6ff367c957f7dd8ed"
 PREDICT_K5 = "daa6c6314b80a128c5ce002486cdaab2d82dcd60013845db4741952987b4dd1b"
 DENSITY_K5 = "c7136a85c3f1cc341c3130e28c2e6b504d12896f217a9dca0cd605b042afeb92"
@@ -55,7 +62,9 @@ def _run(capsys, *argv) -> bytes:
 @pytest.mark.parametrize("flags, expected", [
     ((), SWEEP_DEFAULT),
     (("--weighting", "inverse", "--backend", "brute"), SWEEP_INVERSE_BRUTE),
-], ids=["default", "inverse-brute"])
+    (("--metric", "manhattan"), SWEEP_MANHATTAN),
+    (("--metric", "manhattan", "--backend", "brute"), SWEEP_MANHATTAN),
+], ids=["default", "inverse-brute", "manhattan", "manhattan-brute"])
 def test_sweep_table_charts_and_stdout(capsys, tmp_path, flags, expected):
     stdout = _run(capsys, "sweep", "--data", SAMPLE, "--target", "y", *flags,
                   "--out-table", tmp_path / "table.csv",
