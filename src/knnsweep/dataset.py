@@ -156,7 +156,7 @@ def _read_dataset(path, target_column, categorical_columns, codebooks=None) -> D
     path = Path(path)
     # The decoder reads ahead of csv.reader, so a byte that is not UTF-8
     # is let through as a surrogate and refused with the row that holds it.
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -336,7 +336,7 @@ def _parse_cell(cell, book, frozen) -> float:
 
 
 def load_csv(path, target_column: str, categorical_columns=(), codebooks=None) -> Dataset:
-    """Load a UTF-8, comma-separated file with one header row.
+    """Load a UTF-8 (leading BOM ignored), comma-separated file with one header row.
 
     Every non-target column must parse as a real number unless listed in
     ``categorical_columns``, in which case its labels are mapped to dense
@@ -467,24 +467,21 @@ class Standardizer:
         of the mean), that entry is x / sd - mean / sd instead; a finite x
         whose z-score overflows even so is a ValueError naming the column.
         """
-        out = np.array(features, dtype=np.float64)
-        for j, kind in enumerate(self.column_kinds):
-            if kind is not ColumnKind.NUMERIC:
-                continue
-            sd, mean = self.sds[j], self.means[j]
-            if sd == 0.0:
-                out[:, j] = 0.0
-                continue
-            col = out[:, j]
-            with np.errstate(over="ignore", invalid="ignore"):
-                z = (col - mean) / sd
-                bad = ~np.isfinite(z)
-                z[bad] = col[bad] / sd - mean / sd
-            if (np.isfinite(col[bad]) & ~np.isfinite(z[bad])).any():
-                raise ValueError(f"column {self.column_names[j]!r}: z-score overflows "
-                                 f"the float range (training sd {float(sd)!r})")
-            out[:, j] = z
-        return out
+        raw = np.asarray(features, dtype=np.float64)
+        numeric = np.array([kind is ColumnKind.NUMERIC for kind in self.column_kinds], dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            z = np.subtract(raw, self.means)
+            z /= self.sds
+            rows, cols = np.nonzero(~np.isfinite(z))
+            z[rows, cols] = raw[rows, cols] / self.sds[cols] - (self.means / self.sds)[cols]
+        scaled = numeric & (self.sds != 0.0)
+        lost = cols[np.isfinite(raw[rows, cols]) & ~np.isfinite(z[rows, cols]) & scaled[cols]]
+        if lost.size:
+            j = int(lost.min())
+            raise ValueError(f"column {self.column_names[j]!r}: z-score overflows "
+                             f"the float range (training sd {float(self.sds[j])!r})")
+        z[:, ~scaled] = np.where(numeric[~scaled], 0.0, raw[:, ~scaled])
+        return z
 
 
 def _column_stat(stat, col: np.ndarray) -> float:

@@ -38,7 +38,7 @@ _LEAF_SIZE = 16
 # the kd-tree caps each of its per-block buffers at a quarter of it.
 # Both reuse them per call: per-block buffers raised predict_brute_d8 peak_rss_mb 1.4-1.7 MiB.
 _BLOCK_BYTES = 1 << 20
-# The euclidean filter's matmul stays finite for rows with S + t_i at or
+# The euclidean filter's matmul stays finite for rows with S + W_i at or
 # below this (see BruteForceIndex); other rows take the exact loop.
 _FILTER_LIMIT = 2.0**1000
 # The euclidean filter takes each row's K_i from every s-th column of F,
@@ -246,24 +246,24 @@ class BruteForceIndex(_IndexBase):
     bool (B, n) mask. A block's candidate arrays hold at most B n entries
     each, so they stay within 1 MiB too. The per-row scan ``_search``
     stays as the reference, and every answer is bit-identical to it. Like
-    the kd-tree, the index holds the sentinel-padded (d, n + 1) array,
-    n d 8 bytes more than the training rows (1.2 MiB at 20000 x 8).
+    the kd-tree, the index holds the sentinel-padded (d, n + 1) array;
+    the euclidean filter adds the column means mu and one n-vector.
 
-    Euclidean rows are filtered, then verified. At build, with mu the
-    training column means: x' = fl(x - mu) per training row, s = fl(|x'|^2),
-    and the (d + 1, n) matrix A with rows -2 x'^T and fl(s (1 - c)). Per
-    block, F = [q - mu, 1] @ A is one BLAS matmul, K_i is the k-th smallest
-    F of row i over every sigma-th column, sigma = max(1, min(4, n // (64 k))),
-    and column j is a candidate for row i when
-    F_ij <= K_i + 2c (S + t_i) + 2 tau, with S = max s and
-    t_i = fl(|q_i - mu|^2). Only the candidates' distances are computed,
-    from the raw coordinates in the scalar order, and ranked by
-    ``_verify``; there are about sigma k per row. Here
-    c = (8d + 64) 2^-52 and tau = (d + 2) 2^-1000. Rows with
-    S + t_i > 2^1000, where F could overflow, and the manhattan and
-    hamming metrics take the exact loop:
+    Euclidean rows are filtered, then verified. At build, per training row
+    x, s = fl(|fl(x - mu)|^2) is kept as fl(s (1 - c)). Only the query is
+    centered: q' = fl(q - mu) and W = 2 fl(sum_j |q'_j| (|q'_j| + |mu_j|)).
+    Per block, F = fl(-2 q') @ X + fl(s (1 - c)) is one BLAS matmul on the
+    stored points X, read in place, and one addition. K_i is the k-th
+    smallest F of row i over every sigma-th column, sigma = max(1, min(4,
+    n // (64 k))), and column j is a candidate for row i when
+    F_ij <= K_i + 2c (S + W_i) + 2 tau, with S = max s: about sigma k per
+    row, whose distances alone are computed, from the raw coordinates in
+    the scalar order, and ranked by ``_verify``. Here c = (8d + 64) 2^-52
+    and tau = (d + 2) 2^-1000. Rows with S + W_i > 2^1000, where F could
+    overflow, and the manhattan and hamming metrics take the exact loop:
     every distance of the block accumulated coordinate by coordinate from
-    the stored columns, which it reads in place, copying nothing per call.
+    the stored columns, read in place, copying nothing per call. W grows
+    with |mu|: past offsets of 1e12 spreads more columns pass (all by 1e15).
 
     Why the filter is exact. Take IEEE arithmetic with gradual underflow,
     u = 2^-53 and eta = 2^-1074: a sum or difference is (a + b)(1 + e)
@@ -273,43 +273,46 @@ class BruteForceIndex(_IndexBase):
     gamma_m = m u / (1 - m u) times the sum of the terms' magnitudes, plus
     m eta (Higham 2002, 3.1). Take d < 2^33, so that every (1 + O(d u))
     factor below is under 1.01, and a row that passes the route check, so
-    that nothing overflows. For a query q and a training row x:
+    that nothing overflows. For a query q and a training row x, the exact
+    a = |x - mu|^2 is at most 1.01 (s + d eta), and b = |q - mu|^2 and
+    |q'|^2 + 2 |q'|.|mu| are at most 1.01 (W + 2d eta), where |q'|.|mu| is
+    the inner product of the coordinates' magnitudes.
 
-    1. Centering. fl(x - mu) - fl(q - mu) is within u (|x - mu| + |q - mu|)
-       of x - q per coordinate, so D = |x - q|^2 and D' = |x' - q'|^2 (both
-       exact) differ by at most 4.01 u (|x - mu|^2 + |q - mu|^2); and
-       |x - mu|^2 <= 1.01 (s + d eta), the same for q with t.
+    1. Centering, of the query only. p = mu + q' is within u |q_j - mu_j|
+       of q per coordinate, so D = |x - q|^2 and D~ = |x - p|^2 (both
+       exact) differ by at most 3.01 u (a + b). D~ = a - 2 q'.x + R, where
+       R = 2 q'.mu + |q'|^2 is the same for every column of the row.
     2. Scalar order. The computed distance E sums the d rounded squares
        left to right from 0.0: |E - D| <= gamma_(d+2) D + d eta, with
-       D <= 2 (|x - mu|^2 + |q - mu|^2).
-    3. Filter. With Sigma = -2 x'.q' + fl(s (1 - c)), the exact value of
-       the inner product that gives F, G = F + t + c s satisfies
-       G - D' = (F - Sigma) + (fl(s (1 - c)) - (1 - c) s) + (s - |x'|^2)
-       + (t - |q'|^2), where -2 x' is exact. As 2 |x'_j q'_j| <=
-       x'_j^2 + q'_j^2, the four parts are at most
-       gamma_(d+1) (|x'|^2 + |q'|^2 + 1.01 s) + (d + 1) eta, u s + eta / 2,
-       gamma_d |x'|^2 + d eta and gamma_d |q'|^2 + d eta.
+       D <= 2 (a + b).
+    3. Filter. With Sigma = -2 q'.x + fl(s (1 - c)), the exact value of
+       the inner product that gives F (-2 q' is exact), G = F + R + c s
+       satisfies G - D~ = (F - Sigma) + (fl(s (1 - c)) - (1 - c) s)
+       + (s - a). As 2 |q'_j x_j| <= q'_j^2 + (x_j - mu_j)^2 + 2 |q'_j mu_j|,
+       Sigma's d + 1 terms sum in magnitude to |q'|^2 + 2 |q'|.|mu| + a + s
+       at most. The parts are at most gamma_(d+1) times that plus (d + 1) eta,
+       u s + eta / 2, and gamma_d |x'|^2 + d eta + 2.01 u a (x' = fl(x - mu)).
 
-    Summed, |E - G| <= c' (s + t) + tau' with c' = (5.2 d + 11.4) u and
+    Summed, |E - G| <= c' (s + W) + tau' with c' = (5.2 d + 12.4) u and
     tau' = (4 d + 4) eta. As c >= c', every column has
-    F + t - c' t - tau' <= E <= F + t + (c + c') s + c' t + tau': the
-    factor 1 - c in A takes s out of the lower bound. The k columns with
-    F <= K_i thus have E <= K_i + t + (c + c') S + c' t + tau', and so has
+    F + R - c' W - tau' <= E <= F + R + (c + c') s + c' W + tau': the
+    factor 1 - c takes s out of the lower bound. The k columns with
+    F <= K_i thus have E <= K_i + R + (c + c') S + c' W + tau', and so has
     the k-th smallest E. Any column that ties or beats it has
-    F <= K_i + (c + c') S + 2 c' t + 2 tau', at least
-    (c - c') (S + t) + 2 (tau - tau') below the exact bound
-    K_i + 2c (S + t) + 2 tau. Since |K_i| <= 2.1 (S + t) + tau', the
-    computed bound fl(fl(K_i + fl(2c fl(S + t))) + 2 tau) is within
-    5 u (S + t + tau) + eta of it, which c - c' >= 116 u and
+    F <= K_i + (c + c') S + 2 c' W + 2 tau', R cancelling, at least
+    (c - c') (S + W) + 2 (tau - tau') below the exact bound
+    K_i + 2c (S + W) + 2 tau. Since |K_i| <= 2.1 (S + W) + 2 tau', the
+    computed bound fl(fl(K_i + fl(2c fl(S + W))) + 2 tau) is within
+    5 u (S + W + tau) + eta of it, which c - c' >= 115 u and
     tau >= 2^72 tau' cover. So every column that ties or beats the k-th
     distance is a candidate, and the (distance, row index) answer is the
     one over all n columns. The summation order and thread count of the
     BLAS matmul can change only which extra columns are candidates, never
     the answer. tau also covers a BLAS that flushes subnormal results to
-    zero, which costs at most 2^-1022 per operation. S + t <= 2^1000
+    zero, which costs at most 2^-1022 per operation. S + W <= 2^1000
     keeps F, E and the bound far below overflow. A column mean or a norm
     that is not finite leaves S not finite, and every row then takes the
-    exact loop.
+    exact loop; else |q'_j| + |mu_j| is finite where q'_j is 0: no W is NaN.
 
     Why a sample of F gives K_i. The argument above uses two facts about
     K_i only: at least k columns have F <= K_i, and K_i is one of row i's
@@ -325,17 +328,14 @@ class BruteForceIndex(_IndexBase):
     def __init__(self, points, metric):
         super().__init__(points, metric)
         if metric is DistanceMetric.EUCLIDEAN:
-            n, d = self._points.shape
-            self._slack = (8 * d + 64) * 2.0**-52
-            self._floor = (d + 2) * 2.0**-1000
-            self._weights = np.empty((d + 1, n))
+            self._slack = (8 * self.dim + 64) * 2.0**-52
+            self._floor = (self.dim + 2) * 2.0**-1000
             with np.errstate(over="ignore", invalid="ignore"):  # S is then inf or nan
                 self._mean = self._points.mean(axis=0)
-                centered = np.subtract(self._points.T, self._mean[:, None], out=self._weights[:d])
-                norms = np.einsum("ij,ij->j", centered, centered, out=self._weights[d])
-                self._max_norm = norms.max()
-                norms *= 1.0 - self._slack
-                centered *= -2.0
+                centered = self._points - self._mean
+                self._norms = np.einsum("ij,ij->i", centered, centered)
+                self._max_norm = self._norms.max()
+                self._norms *= 1.0 - self._slack
 
     def _search(self, q, k):
         """The k nearest rows to one query ``q`` by the scalar distance."""
@@ -352,16 +352,15 @@ class BruteForceIndex(_IndexBase):
         mask = np.empty(acc.shape, dtype=bool)
         exact = np.arange(m)
         if self.metric is DistanceMetric.EUCLIDEAN and self._max_norm <= _FILTER_LIMIT:
-            centered = np.ones((m, self.dim + 1))
-            np.subtract(rows, self._mean, out=centered[:, :-1])
-            norms = np.einsum("ij,ij->i", centered[:, :-1], centered[:, :-1])
-            filtered = self._max_norm + norms <= _FILTER_LIMIT
+            centered = rows - self._mean
+            spread = 2 * np.einsum("ij,ij->i", abs(centered), abs(centered) + abs(self._mean))
+            filtered = self._max_norm + spread <= _FILTER_LIMIT
             fast = np.flatnonzero(filtered)
             stride = max(1, min(_SAMPLE_STRIDE, n // (_SAMPLE_COLUMNS_PER_K * k)))
             for start in range(0, fast.size, block):
                 sel = fast[start:start + block]
                 indices[sel], distances[sel] = self._filter_block(
-                    rows[sel], centered[sel], norms[sel], k, stride, acc, scratch, mask)
+                    rows[sel], centered[sel], spread[sel], k, stride, acc, scratch, mask)
             exact = np.flatnonzero(~filtered)
         # Broadcast, not gathered as in _distances: 0.28 s against 0.50 s on 20000 x 8 manhattan.
         for start in range(0, exact.size, block):
@@ -371,18 +370,19 @@ class BruteForceIndex(_IndexBase):
             _accumulate(dist, self._columns[:, :n], rows[sel], self.metric, work)
             indices[sel], distances[sel] = _nearest_k(dist, k, work, _view(mask, b, n))
 
-    def _filter_block(self, q, centered, norms, k, stride, acc, scratch, mask):
+    def _filter_block(self, q, centered, spread, k, stride, acc, scratch, mask):
         """(indices, squared distances), each (b, k), for the b query rows
         ``q`` by the euclidean filter and its exact verification; see the
-        class docstring. ``centered`` is [q - mu, 1], ``norms`` is t, and
-        K_i comes from every ``stride``-th column of F."""
+        class docstring. ``centered`` is q', ``spread`` is W, and K_i comes
+        from every ``stride``-th column of F."""
         b, n = q.shape[0], self.n_points
-        approx = np.matmul(centered, self._weights, out=_view(acc, b, n))
+        approx = np.matmul(-2.0 * centered, self._columns[:, :n], out=_view(acc, b, n))
+        approx += self._norms
         sample = approx[:, ::stride]
         work = _view(scratch, b, sample.shape[1])
         np.copyto(work, sample)
         work.partition(k - 1, axis=1)
-        bound = work[:, k - 1] + 2 * self._slack * (self._max_norm + norms) + 2 * self._floor
+        bound = work[:, k - 1] + 2 * self._slack * (self._max_norm + spread) + 2 * self._floor
         # flatnonzero: on a (1, 100000) mask 2-d nonzero took 0.3-1.2 ms, this 0.03-0.09 ms
         row, col = np.divmod(np.flatnonzero(
             np.less_equal(approx, bound[:, None], out=_view(mask, b, n))), n)

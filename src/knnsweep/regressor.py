@@ -251,14 +251,14 @@ def estimate_density(model: KnnModel, q) -> DensityEstimate:
         raise ZeroRadiusError(
             "k-th neighbor distance is zero; the density estimate is unbounded here"
         )
-    return DensityEstimate(value=_density(model, radius))
+    return DensityEstimate(value=_density_at(model)(radius))
 
 
 def estimate_densities(model: KnnModel, queries: Dataset) -> np.ndarray:
     """estimate_density at every query row, in row order, from one neighbor
     query; a zero radius gives inf instead of ZeroRadiusError."""
     radii = _kth_radii(model, _model_features, queries)
-    return np.array([_density(model, r) for r in radii.tolist()])
+    return np.array(list(map(_density_at(model), radii.tolist())))
 
 
 def _kth_radii(model: KnnModel, to_model_space, queries) -> np.ndarray:
@@ -269,24 +269,29 @@ def _kth_radii(model: KnnModel, to_model_space, queries) -> np.ndarray:
     return model.index.query(to_model_space(model, queries), model.k).distances[..., -1]
 
 
-def _density(model: KnnModel, radius: float) -> float:
-    """k / (n * V) at k-th neighbor distance ``radius``, in Python floats.
+def _density_at(model: KnnModel):
+    """k / (n * V) as a function of the k-th neighbor distance, in Python floats.
 
     Where V = unit * radius**d leaves float range, the density is
     exp(log(k / n) - log V) instead, with log V taken term by term; it is
     inf where that overflows or the radius is 0, and 0.0 where it underflows.
     """
-    dim = model.train.n_columns
-    try:
-        volume = unit_ball_volume(dim) * radius**dim
-    except OverflowError:
-        volume = math.inf
-    if 0.0 < volume < math.inf:
-        return model.k / (model.train.n_rows * volume)
-    if radius == 0.0:
-        return math.inf
-    log_volume = _log_unit_ball_volume(dim) + dim * math.log(radius)
-    try:
-        return math.exp(math.log(model.k / model.train.n_rows) - log_volume)
-    except OverflowError:
-        return math.inf
+    dim, k, n = model.train.n_columns, model.k, model.train.n_rows
+    unit, log_unit, log_share = unit_ball_volume(dim), _log_unit_ball_volume(dim), math.log(k / n)
+
+    # Per row in Python floats: numpy's SIMD power, log and exp may differ from libm in the last bit
+    def density(radius: float) -> float:
+        try:
+            volume = unit * radius**dim
+        except OverflowError:
+            volume = math.inf
+        if 0.0 < volume < math.inf:
+            return k / (n * volume)
+        if radius == 0.0:
+            return math.inf
+        try:
+            return math.exp(log_share - (log_unit + dim * math.log(radius)))
+        except OverflowError:
+            return math.inf
+
+    return density

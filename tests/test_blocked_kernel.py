@@ -10,7 +10,9 @@ floats whose sums round, along with n = 1, k = n, subnormal coordinates,
 squared distances that all overflow to inf, a 1.5e307 scale at which
 manhattan distances overflow to inf and tie the sentinel that pads
 candidate rows, and hamming codes. Derandomized and capped at a few
-examples per case. The exact loop is checked to copy no training rows.
+examples per case. The exact loop is checked to copy no training rows,
+and the euclidean index to hold one copy of its points and to keep its
+filter narrow on points offset by 1e9 spreads.
 
 The euclidean filter of ``BruteForceIndex`` (a matmul picks candidates,
 the scalar-order distances rank them) is checked the same way on hostile
@@ -138,6 +140,21 @@ def test_exact_loop_copies_no_training_rows(metric):
     assert peak < n * d * 8
 
 
+def test_euclidean_index_holds_one_copy_of_its_points():
+    # the filter's product reads the shared (d, n + 1) column array in place;
+    # the filter adds the column means and one n-vector, not a second copy
+    n, d = 20_000, 8
+    points = np.random.default_rng(6).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert index._columns.nbytes == (n + 1) * d * 8
+    assert held < (n + 1) * d * 8 + 2 * n * 8
+
+
 def test_equal_roots_keep_their_squared_order():
     # squared distances 1 + 2^-52 and 1 both square-root to 1.0
     points, q = np.array([[1.0, 2.0**-26], [1.0, 0.0]]), np.zeros(2)
@@ -147,6 +164,30 @@ def test_equal_roots_keep_their_squared_order():
     for index in (brute, KdTreeIndex(points, DistanceMetric.EUCLIDEAN)):
         ns = index.query(q, 1)
         assert (ns.indices.tolist(), ns.distances.tolist()) == ([1], [1.0])
+
+
+def test_euclidean_filter_stays_narrow_under_a_large_offset():
+    # Only the query is centered, so the filter's bound grows with |mu|; at
+    # an offset of 1e9 spreads it still admits a few k columns per row,
+    # where a filter with no centering at all admits every column.
+    n, d = 4000, 4
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(n + 100, d)) + 1e9
+    index = BruteForceIndex(rows[:n], DistanceMetric.EUCLIDEAN)
+    widths = []
+    verify = neighbors._IndexBase._verify
+
+    def recorded(self, q, positions, *args):
+        widths.append(positions.shape[1])
+        return verify(self, q, positions, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors._IndexBase, "_verify", recorded)
+        result = index.query(rows[n:], 10)
+    assert widths and max(widths) < n // 10
+    tree = KdTreeIndex(rows[:n], DistanceMetric.EUCLIDEAN).query(rows[n:], 10)
+    assert result.indices.tobytes() == tree.indices.tobytes()
+    assert result.distances.tobytes() == tree.distances.tobytes()
 
 
 # Families on training rows 0, s, 2s, ... (the columns the filter's K_i

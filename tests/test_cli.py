@@ -193,6 +193,20 @@ class TestPredictCommand:
         assert outputs[0] == outputs[1]
         assert len(outputs[0][1].splitlines()) == 201
 
+    @pytest.mark.parametrize("header", ["x,y", "y,x"], ids=["feature-first", "target-first"])
+    def test_byte_order_mark_on_the_training_file_only(self, tmp_path, capsys, header):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        rows = {"x,y": "1,10\n2,20\n", "y,x": "10,1\n20,2\n"}[header]
+        train = tmp_path / "train.csv"
+        train.write_bytes(f"\ufeff{header}\n{rows}".encode("utf-8"))
+        query = tmp_path / "q.csv"
+        query.write_text("x\n1.9\n")
+        out = tmp_path / "p.csv"
+        assert cli.main(["predict", "--train", str(train), "--query", str(query),
+                         "--target", "y", "--k", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text() == "row_index,prediction\n0,20\n"
+
     def test_mismatched_query_columns(self, sample, tmp_path):
         query = tmp_path / "bad.csv"
         query.write_text("x1,x2\n1,2\n")

@@ -82,6 +82,20 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="header"):
             load_csv(p, "y")
 
+    @pytest.mark.parametrize("body, per_cell", [
+        ("1,2,x\n3,4,z\n", False),
+        ('1,2,"x\nx"\n3,4,z\n', True),  # a quoted label across lines
+    ], ids=["c-reader", "per-cell"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, body, per_cell):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(("\ufeffy,a,c\n" + body).encode("utf-8"))
+        with mock.patch.object(dataset, "_parse_rows", wraps=dataset._parse_rows) as loop:
+            ds = load_csv(p, "y", categorical_columns={"c"})
+        assert loop.call_count == per_cell
+        assert ds.column_names == ("a", "c")
+        assert ds.features.tolist() == [[2.0, 0.0], [4.0, 1.0]]
+        assert ds.target.tolist() == [1.0, 3.0]
+
     def test_header_csv_reader_rejects(self, tmp_path):
         p = _write(tmp_path, "a," + "b" * 140_000 + "\n1,2\n")
         with pytest.raises(CsvFormatError) as err:

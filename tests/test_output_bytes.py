@@ -29,6 +29,13 @@ SWEEP_INVERSE_BRUTE = {
     "r2.svg": "2ff256d5f95ad0a99bb2d4bf6e06fc811a4dd22ed3a03e5a3fd88c5ce60a2b14",
     "stdout": "40f67fc8ddf8d4dbd6b2ebe8a29513744d4305fb83cda588b4932173ca4b7cd3",
 }
+# raw coordinates: the euclidean filter's column means are far from 0
+SWEEP_RAW_BRUTE = {
+    "table.csv": "6e16fc600ec70e0059f6ba68bd3cd03b40d783b7a82c2c93b131f933702a8f50",
+    "rmse.svg": "b98c33ab20fbb4602420cb8b3b250913f756d9c8577d6d2de25d6fef857f5b25",
+    "r2.svg": "8c4c1f316e4420cec2628b7c565cae5427fe5abc5d69acb7372b7b53c3c3227f",
+    "stdout": "762ad1c72896e8c4a0f733067fdc25ab5a7b03c302671a82ed0f8e6f55eb76bf",
+}
 # the kd-tree and the exact brute-force loop give the same bytes
 SWEEP_MANHATTAN = {
     "table.csv": "fba8ca49c7ed3d0c147065a86300e5ec17e9fbceb53b0865c4ac97e0ac74bbc3",
@@ -38,6 +45,7 @@ SWEEP_MANHATTAN = {
 }
 EVAL_K5_STDOUT = "e0806398a66839634001c10a772cbbbfa13b54f0f7d616a6ff367c957f7dd8ed"
 PREDICT_K5 = "daa6c6314b80a128c5ce002486cdaab2d82dcd60013845db4741952987b4dd1b"
+PREDICT_K5_RAW_BRUTE = "6f0318734bb1ba96289f6b9ff7be785b4b53a0874e5ee8e9a626ba67a8fba0f7"
 DENSITY_K5 = "c7136a85c3f1cc341c3130e28c2e6b504d12896f217a9dca0cd605b042afeb92"
 
 
@@ -62,9 +70,10 @@ def _run(capsys, *argv) -> bytes:
 @pytest.mark.parametrize("flags, expected", [
     ((), SWEEP_DEFAULT),
     (("--weighting", "inverse", "--backend", "brute"), SWEEP_INVERSE_BRUTE),
+    (("--no-standardize", "--backend", "brute"), SWEEP_RAW_BRUTE),
     (("--metric", "manhattan"), SWEEP_MANHATTAN),
     (("--metric", "manhattan", "--backend", "brute"), SWEEP_MANHATTAN),
-], ids=["default", "inverse-brute", "manhattan", "manhattan-brute"])
+], ids=["default", "inverse-brute", "raw-brute", "manhattan", "manhattan-brute"])
 def test_sweep_table_charts_and_stdout(capsys, tmp_path, flags, expected):
     stdout = _run(capsys, "sweep", "--data", SAMPLE, "--target", "y", *flags,
                   "--out-table", tmp_path / "table.csv",
@@ -80,11 +89,19 @@ def test_eval_stdout(capsys):
     assert _sha(stdout) == EVAL_K5_STDOUT
 
 
-def test_predict_file(capsys, inputs):
+def _predict(capsys, inputs, *flags) -> str:
     out = inputs / "pred.csv"
     _run(capsys, "predict", "--train", SAMPLE, "--query", inputs / "query.csv",
-         "--target", "y", "--k", "5", "--out", out)
-    assert _sha(out.read_bytes()) == PREDICT_K5
+         "--target", "y", "--k", "5", *flags, "--out", out)
+    return _sha(out.read_bytes())
+
+
+def test_predict_file(capsys, inputs):
+    assert _predict(capsys, inputs) == PREDICT_K5
+
+
+def test_predict_file_raw_brute(capsys, inputs):
+    assert _predict(capsys, inputs, "--no-standardize", "--backend", "brute") == PREDICT_K5_RAW_BRUTE
 
 
 def test_density_file(capsys, inputs):
