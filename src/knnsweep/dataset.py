@@ -36,6 +36,18 @@ class ColumnKind(Enum):
     CATEGORICAL = "categorical"
 
 
+class _FrozenDict(dict):
+    """A dict whose mutating methods raise TypeError; pickles as itself."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("codebooks are immutable")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix + target vector with per-column kind metadata.
@@ -63,8 +75,8 @@ class Dataset:
         target = np.array(self.target, dtype=np.float64)
         kinds = tuple(self.column_kinds)
         names = tuple(str(n) for n in self.column_names)
-        books = {str(name): tuple(str(label) for label in labels)
-                 for name, labels in dict(self.codebooks).items()}
+        books = _FrozenDict({str(name): tuple(str(label) for label in labels)
+                             for name, labels in dict(self.codebooks).items()})
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if target.ndim != 1:

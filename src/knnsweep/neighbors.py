@@ -15,12 +15,13 @@ addition are monotone: a <= b implies fl(a - c) <= fl(b - c),
 fl(c - b) <= fl(c - a), fl(a * a) <= fl(b * b) for 0 <= a, and
 fl(a + c) <= fl(b + c). For a point p inside the box [lo, hi], the
 per-coordinate gap max(lo - q, q - hi, 0) therefore never exceeds the
-computed |p - q|. A box bound that accumulates those gaps from 0.0, in
-the same coordinate order and the same steps as ``squared_euclidean`` and
-``manhattan``, never exceeds the computed distance of any point in the
-box, even where squares overflow to inf. The tree skips a leaf only when its bound is
-strictly greater than a distance that k real points already reach, so a
-scan with ``<=`` never drops a point that ties the k-th distance.
+computed |p - q|. The box bound sums those gaps in ``_accumulate``, the
+kernel behind every ranked distance, so from 0.0 in the coordinate order
+and steps of ``squared_euclidean`` and ``manhattan``: it never exceeds the
+computed distance of any point in the box, even where squares overflow to
+inf. The tree skips a leaf only when its bound is strictly greater than a
+distance that k real points already reach, so a scan with ``<=`` never
+drops a point that ties the k-th distance.
 """
 
 from __future__ import annotations
@@ -84,28 +85,22 @@ class NeighborSet:
         return len(self.indices)
 
 
-def _accumulate(dist, columns, q, metric, work):
-    """Fill ``dist[i, c]`` with the internal distance from query ``q[i]`` to
-    training point c, element for element the IEEE steps of the scalar
-    function ``_RANKED[metric]``.
+def _accumulate(dist, terms, metric):
+    """Fill ``dist`` with the sum, from 0.0 in coordinate order, of the
+    per-coordinate ``terms``, each squared (euclidean), taken absolute
+    (manhattan) or added as is (hamming's 0.0/1.0 mismatch): element for
+    element the IEEE steps of the scalar function ``_RANKED[metric]``.
 
-    ``columns`` yields, coordinate by coordinate, that coordinate of the
-    training points: a row broadcast over the queries, or a matrix shaped
-    like ``dist`` (which may be ``work`` itself). ``work`` is float64
-    scratch shaped like ``dist`` that holds each coordinate's term.
+    ``terms`` yields one float64 array shaped like ``dist`` per
+    coordinate, which is overwritten.
     """
     dist.fill(0.0)
-    for j, column in enumerate(columns):
-        coord = q[:, j:j + 1]
-        if metric is DistanceMetric.HAMMING:
-            np.not_equal(column, coord, out=work)  # 0.0 or 1.0; counts are exact in float64
-        else:
-            np.subtract(column, coord, out=work)
-            if metric is DistanceMetric.EUCLIDEAN:
-                np.multiply(work, work, out=work)
-            else:
-                np.abs(work, out=work)
-        dist += work
+    for term in terms:
+        if metric is DistanceMetric.EUCLIDEAN:
+            np.multiply(term, term, out=term)
+        elif metric is DistanceMetric.MANHATTAN:
+            np.abs(term, out=term)
+        dist += term
     return dist
 
 
@@ -145,17 +140,21 @@ def _box_bounds(lo, hi, q_lo, q_hi, metric):
     box [q_lo[i], q_hi[i]] to any point in the box [lo[:, l], hi[:, l]].
 
     ``lo``/``hi`` are (d, L) and ``q_lo``/``q_hi`` (b, d). Per coordinate
-    the gap is max(lo - q_hi, q_lo - hi, 0), accumulated from 0.0 in the
-    order and steps of ``_RANKED[metric]`` (see the module docstring).
+    the gap is max(lo - q_hi, q_lo - hi, 0), and ``_accumulate`` sums the
+    gaps as it sums coordinate differences (see the module docstring).
     """
-    bound = np.zeros((q_lo.shape[0], lo.shape[1]))
-    for j in range(lo.shape[0]):
-        gap = np.maximum(lo[j] - q_hi[:, j:j + 1], q_lo[:, j:j + 1] - hi[j])
-        np.maximum(gap, 0.0, out=gap)
-        if metric is DistanceMetric.EUCLIDEAN:
-            np.multiply(gap, gap, out=gap)
-        bound += gap
-    return bound
+    gaps = (np.maximum(np.maximum(lo[j] - q_hi[:, j:j + 1], q_lo[:, j:j + 1] - hi[j]), 0.0)
+            for j in range(lo.shape[0]))
+    return _accumulate(np.empty((q_lo.shape[0], lo.shape[1])), gaps, metric)
+
+
+def _padded(row, positions, counts, fill, out):
+    """``out`` (b, c), row i holding the ``positions`` whose sorted ``row``
+    is i, then ``fill``; ``counts`` is ``row``'s bincount over the b rows."""
+    slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    out.fill(fill)
+    out[row, slot] = positions
+    return out
 
 
 def _view(buffer, rows, cols):
@@ -177,18 +176,17 @@ class _IndexBase:
     _ids = None
 
     def __init__(self, points: np.ndarray, metric: DistanceMetric):
-        self._points = points
         self.metric = metric
         self._columns = np.full((points.shape[1], points.shape[0] + 1), np.inf)
         self._columns[:, :-1] = points.T
 
     @property
     def n_points(self) -> int:
-        return self._points.shape[0]
+        return self._columns.shape[1] - 1
 
     @property
     def dim(self) -> int:
-        return self._points.shape[1]
+        return self._columns.shape[0]
 
     def check_query(self, q, vector_only: bool = False) -> np.ndarray:
         """``q`` as float64: a vector of length dim or, unless
@@ -225,14 +223,21 @@ class _IndexBase:
 
     def _distances(self, q, positions, dist, work):
         """Fill ``dist`` with the internal distances from each query q[i]
-        to the columns at ``positions[i]`` (n is the sentinel)."""
+        to the columns at ``positions[i]`` (n is the sentinel), or to every
+        real column where ``positions`` is None; ``work`` is scratch like it."""
+        # None broadcasts, not gathers: 0.28 s against 0.50 s on 20000 x 8 manhattan.
         # mode="clip" writes straight into ``out``; every position is valid
-        gathered = (np.take(column, positions, out=work, mode="clip") for column in self._columns)
-        return _accumulate(dist, gathered, q, self.metric, work)
+        columns = self._columns[:, :-1] if positions is None else (
+            np.take(column, positions, out=work, mode="clip") for column in self._columns)
+        # hamming's term is a mismatch, 0.0 or 1.0: counts are exact in float64
+        term = np.not_equal if self.metric is DistanceMetric.HAMMING else np.subtract
+        terms = (term(column, q[:, j:j + 1], out=work) for j, column in enumerate(columns))
+        return _accumulate(dist, terms, self.metric)
 
     def _verify(self, q, positions, k, dist, work, keep):
         """(indices, internal distances), each (b, k): per query q[i], the k
-        nearest of at least k real points at ``positions[i]``; sentinel pads rank last, as row n."""
+        nearest of at least k real points at ``positions[i]`` (None: every
+        brute-force row); sentinel pads rank last, as row n."""
         self._distances(q, positions, dist, work)
         ids = positions if self._ids is None else np.take(self._ids, positions)
         return _nearest_k(dist, k, work, keep, ids)
@@ -331,8 +336,8 @@ class BruteForceIndex(_IndexBase):
             self._slack = (8 * self.dim + 64) * 2.0**-52
             self._floor = (self.dim + 2) * 2.0**-1000
             with np.errstate(over="ignore", invalid="ignore"):  # S is then inf or nan
-                self._mean = self._points.mean(axis=0)
-                centered = self._points - self._mean
+                self._mean = points.mean(axis=0)
+                centered = points - self._mean
                 self._norms = np.einsum("ij,ij->i", centered, centered)
                 self._max_norm = self._norms.max()
                 self._norms *= 1.0 - self._slack
@@ -340,7 +345,7 @@ class BruteForceIndex(_IndexBase):
     def _search(self, q, k):
         """The k nearest rows to one query ``q`` by the scalar distance."""
         rank = _RANKED[self.metric]
-        internal = np.array([rank(point, q) for point in self._points], dtype=np.float64)
+        internal = np.array([rank(point, q) for point in self._columns[:, :-1].T], dtype=np.float64)
         order = np.argsort(internal, kind="stable")[:k].astype(np.int64)
         return order, internal[order]
 
@@ -362,13 +367,11 @@ class BruteForceIndex(_IndexBase):
                 indices[sel], distances[sel] = self._filter_block(
                     rows[sel], centered[sel], spread[sel], k, stride, acc, scratch, mask)
             exact = np.flatnonzero(~filtered)
-        # Broadcast, not gathered as in _distances: 0.28 s against 0.50 s on 20000 x 8 manhattan.
         for start in range(0, exact.size, block):
             sel = exact[start:start + block]
             b = sel.size
-            dist, work = _view(acc, b, n), _view(scratch, b, n)
-            _accumulate(dist, self._columns[:, :n], rows[sel], self.metric, work)
-            indices[sel], distances[sel] = _nearest_k(dist, k, work, _view(mask, b, n))
+            indices[sel], distances[sel] = self._verify(
+                rows[sel], None, k, _view(acc, b, n), _view(scratch, b, n), _view(mask, b, n))
 
     def _filter_block(self, q, centered, spread, k, stride, acc, scratch, mask):
         """(indices, squared distances), each (b, k), for the b query rows
@@ -388,8 +391,7 @@ class BruteForceIndex(_IndexBase):
             np.less_equal(approx, bound[:, None], out=_view(mask, b, n))), n)
         counts = np.bincount(row, minlength=b)
         c = int(counts.max())
-        cand = np.full((b, c), n, dtype=np.intp)  # padded with the sentinel
-        cand[row, np.arange(row.size) - (np.cumsum(counts) - counts)[row]] = col
+        cand = _padded(row, col, counts, n, np.empty((b, c), dtype=np.intp))
         # F and its partitioned copy are spent: their buffers take the candidates.
         return self._verify(q, cand, k, _view(acc, b, c), _view(scratch, b, c), _view(mask, b, c))
 
@@ -488,14 +490,10 @@ class KdTreeIndex(_IndexBase):
         row, leaf = np.nonzero(scan)
         leaf = live[leaf]
         size = self._leaf_size[leaf]
-        total = int(counts.sum())
         first = np.cumsum(size) - size  # each pair's first slot in the flat list
-        pos = np.repeat(self._leaf_start[leaf] - first, size) + np.arange(total)
+        pos = np.repeat(self._leaf_start[leaf] - first, size) + np.arange(int(counts.sum()))
         row = np.repeat(row, size)
-        slot = np.arange(total) - (np.cumsum(counts) - counts)[row]
-        cand.fill(self.n_points)
-        cand[row, slot] = pos
-        return cand
+        return _padded(row, pos, counts, self.n_points, cand)
 
     def _search_rows(self, rows, k, indices, distances):
         m, n = rows.shape[0], self.n_points

@@ -31,7 +31,10 @@ partitioned at k - 2 instead of k - 1, the tie-split family fails.
 levels (n from 17 to 300), with the tree's query-block row count and its
 per-block buffer cap patched so that m crosses several blocks and blocks
 give up rows to fit. The kd build itself is checked array by array
-against a row-major reference build kept in this file.
+against a row-major reference build kept in this file, and the invariant
+its pruning rests on directly: no leaf's box bound exceeds the computed
+distance of any point in the leaf, also where squares underflow or
+overflow.
 """
 
 import tracemalloc
@@ -318,11 +321,15 @@ def test_blocked_hamming_kernel_equals_per_row_scan(case):
     _assert_equals_per_row_oracle(_query_blocked(index, queries, k, block), index, queries, k)
 
 
+SCALES = (1.0, 0.37, 1e-308, 5e-324, 1e200, 1.5e307)
+
+
 @st.composite
-def tree_cases(draw):
+def tree_cases(draw, scales=SCALES):
     """(training points, query rows, k, rows per block, block bytes) for a
     kd-tree of two or more levels: grid rows with duplicates and mass ties,
-    some arbitrary normal rows, and queries that copy training rows."""
+    some arbitrary normal rows, and queries that copy training rows, all
+    multiplied by one of ``scales``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 3))
     n = draw(st.integers(17, 300))
@@ -332,7 +339,7 @@ def tree_cases(draw):
     m = draw(st.integers(1, 40))
     queries = np.where(rng.random((m, 1)) < 0.5, points[rng.integers(0, n, size=m)],
                        rng.integers(-1, 4, size=(m, d)))
-    scale = draw(st.sampled_from([1.0, 0.37, 1e-308, 5e-324, 1e200, 1.5e307]))
+    scale = draw(st.sampled_from(scales))
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     # 8 * 4 * c bytes caps each kd-tree block buffer at c float64 entries
     block_bytes = draw(st.sampled_from([neighbors._BLOCK_BYTES, 32, 32 * 40, 32 * 500]))
@@ -350,6 +357,26 @@ def test_multi_level_kd_tree_equals_per_row_scan(case, metric):
         mp.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
         result = tree.query(queries, k)
     _assert_equals_per_row_oracle(result, BruteForceIndex(points, metric), queries, k)
+
+
+@pytest.mark.parametrize("metric", NUMERIC_METRICS)
+@pytest.mark.parametrize("scale", [1.0, 1e-308, 5e-324, 1e200, 1.5e307])
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_box_bound_never_exceeds_a_distance_in_the_box(data, scale, metric):
+    # the kd-tree prunes by this invariant; at 1e200 and 1.5e307 squares
+    # and sums overflow to inf, at 5e-324 squares underflow to 0
+    points, queries = data.draw(tree_cases(scales=(scale,)))[:2]
+    tree = KdTreeIndex(points, metric)
+    n, m = len(points), len(queries)
+    leaf = np.repeat(np.arange(len(tree._leaf_size)), tree._leaf_size)  # of each column
+    with np.errstate(over="ignore"):
+        dist = tree._distances(queries, np.broadcast_to(np.arange(n), (m, n)),
+                               np.empty((m, n)), np.empty((m, n)))
+        for l in range(len(tree._leaf_size)):
+            bound = neighbors._box_bounds(tree._lo[:, [l]], tree._hi[:, [l]], queries, queries,
+                                          metric)
+            assert (bound <= dist[:, leaf == l]).all()
 
 
 TREE_ARRAYS = ("_split_axis", "_split_value", "_leaf_start", "_leaf_size",

@@ -128,6 +128,15 @@ class TestSweepCommand:
         assert outputs[0] == outputs[1]
 
 
+    def test_constant_target_leaves_best_r2_undefined(self, capsys, tmp_path):
+        p = tmp_path / "const.csv"
+        p.write_text("a,y\n" + "".join(f"{i},4\n" for i in range(30)))
+        assert cli.main(["sweep", "--data", str(p), "--target", "y", "--k-max", "5",
+                         "--out-table", str(tmp_path / "t.csv")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "best_k_r2=undefined (constant test targets)"
+
+
 class TestEvalCommand:
     def test_json_has_all_seven_keys(self, sample):
         proc = run_cli("eval", "--data", sample, "--target", "y", "--k", "1")

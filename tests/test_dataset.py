@@ -1,6 +1,8 @@
+import copy
 import csv
 import io
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -115,6 +117,11 @@ class TestLoadCsv:
     def test_empty_body(self, tmp_path):
         p = _write(tmp_path, "a,y\n")
         with pytest.raises(CsvFormatError, match="no data rows"):
+            load_csv(p, "y")
+
+    def test_target_as_the_only_column(self, tmp_path):
+        p = _write(tmp_path, "y\n1\n2\n")
+        with pytest.raises(CsvFormatError, match="no feature columns besides the target$"):
             load_csv(p, "y")
 
     def test_target_listed_as_categorical(self, tmp_path):
@@ -626,6 +633,40 @@ class TestDatasetInvariants:
         ds = make_dataset([1.0, 2.0])
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
+
+    @pytest.mark.parametrize("features, target, kinds, names, message", [
+        (np.zeros(3), np.zeros(3), (ColumnKind.NUMERIC,), ("a",), "features must be a 2-D matrix"),
+        (np.zeros((3, 1)), np.zeros((3, 1)), (ColumnKind.NUMERIC,), ("a",),
+         "target must be a 1-D vector"),
+        (np.zeros((3, 0)), np.zeros(3), (), (), "dataset needs at least one feature column"),
+        (np.zeros((3, 2)), np.zeros(3), (ColumnKind.NUMERIC,), ("a", "b"),
+         "column_kinds/column_names must match the feature columns"),
+        (np.zeros((3, 2)), np.zeros(3), (ColumnKind.NUMERIC,) * 2, ("a",),
+         "column_kinds/column_names must match the feature columns"),
+    ], ids=["1-d features", "2-d target", "no columns", "kinds", "names"])
+    def test_shape_faults(self, features, target, kinds, names, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(features=features, target=target, column_kinds=kinds, column_names=names)
+
+    def test_codebook_for_a_numeric_column_rejected(self):
+        with pytest.raises(ValueError, match="^codebooks must name categorical feature columns only$"):
+            Dataset(features=np.zeros((2, 1)), target=np.zeros(2), column_kinds=(ColumnKind.NUMERIC,),
+                    column_names=("a",), codebooks={"a": ("x",)})
+
+    def test_codebooks_are_immutable(self, tmp_path):
+        ds = load_csv(_write(tmp_path, "c,y\na,1\nb,2\n"), "y", categorical_columns={"c"})
+        for mutate in (lambda b: b.__setitem__("c", ("b", "a")), lambda b: b.__delitem__("c"),
+                       lambda b: b.update(c=("b", "a")), lambda b: b.setdefault("d", ()),
+                       lambda b: b.pop("c"), lambda b: b.popitem(), lambda b: b.clear()):
+            with pytest.raises(TypeError, match="^codebooks are immutable$"):
+                mutate(ds.codebooks)
+        books = ds.codebooks
+        with pytest.raises(TypeError):
+            books |= {"d": ()}
+        assert ds.codebooks == {"c": ("a", "b")} and repr(ds.codebooks) == "{'c': ('a', 'b')}"
+        for copied in (pickle.loads(pickle.dumps(ds.codebooks)), copy.deepcopy(ds.codebooks),
+                       pickle.loads(pickle.dumps(ds)).codebooks):
+            assert copied == ds.codebooks and type(copied) is type(ds.codebooks)
 
 
 class TestSplit:

@@ -60,6 +60,10 @@ class TestDispatch:
     def test_manhattan_identity(self):
         assert distance(DistanceMetric.MANHATTAN, (1, 2), (1, 2)) == 0.0
 
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError, match="^unknown metric: 'euclidean'$"):
+            distance("euclidean", (0, 0), (3, 4))
+
     def test_hamming_on_numeric_vectors_errors(self):
         with pytest.raises(ValueError, match="integer"):
             distance(DistanceMetric.HAMMING, (0.1, 0.2), (0.3, 0.4))

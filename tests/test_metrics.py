@@ -15,6 +15,7 @@ from knnsweep import (
     ssr,
     sst,
 )
+from knnsweep.metrics import report_columns
 
 
 class TestExamples:
@@ -65,6 +66,25 @@ class TestErrors:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             sse([np.nan], [1.0])
+
+    def test_two_dimensional_y_rejected(self):
+        with pytest.raises(ValueError, match="^y must be a 1-D vector$"):
+            sse([[1.0]], [1.0])
+
+    @pytest.mark.parametrize("fn", [ssr, sst])
+    def test_sums_of_squares_of_empty_vectors(self, fn):
+        with pytest.raises(ValueError, match=f"^{fn.__name__} is undefined for an empty vector$"):
+            fn([], 0.0)
+
+    @pytest.mark.parametrize("y, yhat, message", [
+        ([1.0, 2.0], [1.0, 2.0], "yhat must be a 2-D matrix"),
+        ([1.0, 2.0], [[1.0], [np.nan]], "yhat contains NaN or infinite values"),
+        ([1.0, 2.0], [[1.0]], "length mismatch: 2 vs 1"),
+        ([], np.zeros((0, 3)), "metrics are undefined for empty vectors"),
+    ], ids=["1-d yhat", "nan", "length mismatch", "zero rows"])
+    def test_report_columns_faults(self, y, yhat, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            report_columns(y, yhat)
 
 
 class TestReport:

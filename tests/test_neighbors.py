@@ -121,6 +121,10 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="categorical"):
             build_index(ds, DistanceMetric.HAMMING, SearchBackend.BRUTE_FORCE)
 
+    def test_backend_that_is_not_a_search_backend(self):
+        with pytest.raises(ValueError, match="^unknown backend: 'kd_tree'$"):
+            build_index(make_dataset([0.0, 1.0]), DistanceMetric.EUCLIDEAN, "kd_tree")
+
     def test_empty_training_set(self):
         ds = make_dataset(np.zeros((0, 2)))
         with pytest.raises(ValueError, match="empty"):

@@ -198,6 +198,10 @@ class TestDensity:
         assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
 
+    def test_unit_ball_volume_needs_a_dimension(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            unit_ball_volume(0)
+
     def test_unit_ball_volume_past_gamma_overflow(self):
         # gamma(d/2 + 1) overflows from d = 342 on; the log-space volume
         # continues the closed form and stays a positive float.

@@ -147,6 +147,10 @@ class TestSelectBest:
         best = dict(result.rows)[result.best_k_rmse].rmse
         assert all(best <= rep.rmse for _, rep in result.rows)
 
+    def test_empty_result(self):
+        with pytest.raises(ValueError, match="^empty sweep result$"):
+            select_best(SweepResult(rows=(), best_k_rmse=1, best_k_r2=None), "rmse")
+
     def test_unknown_criterion(self):
         result = SweepResult(rows=((1, _mk_report(1.0)),), best_k_rmse=1, best_k_r2=None)
         with pytest.raises(ValueError, match=r"^unknown criterion 'mae'; use 'rmse' or 'r2'$"):
