@@ -110,6 +110,12 @@ class Dataset:
         object.__setattr__(self, "column_names", names)
         object.__setattr__(self, "codebooks", books)
 
+    def __reduce__(self):
+        # through the constructor, which freezes the arrays that pickle and
+        # deepcopy would otherwise hand back writable
+        return type(self), (self.features, self.target, self.column_kinds, self.column_names,
+                            dict(self.codebooks))
+
     @property
     def n_rows(self) -> int:
         return self.features.shape[0]
@@ -471,6 +477,9 @@ class Standardizer:
         object.__setattr__(self, "sds", sds)
         object.__setattr__(self, "column_names", tuple(self.column_names))
         object.__setattr__(self, "column_kinds", tuple(self.column_kinds))
+
+    def __reduce__(self):  # through the constructor, as Dataset's
+        return type(self), (self.column_names, self.column_kinds, self.means, self.sds)
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         """Apply the fitted transform to a raw (m, d) feature matrix; returns a copy.

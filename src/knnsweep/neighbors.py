@@ -50,6 +50,10 @@ _SAMPLE_COLUMNS_PER_K = 64
 # Query rows the kd-tree searches together. Rows are sorted by home leaf,
 # so a small block stays spatially compact and its leaf filter stays tight.
 _TREE_BLOCK_ROWS = 16
+# Consecutive candidate blocks are ranked by one verify once their padded
+# matrix holds this many entries, never past 4x it unless one block alone is.
+# 20000 x 8, k 10: 17 verifies, not 167, query ~20% faster; 2^13 slowed 8000 x 3, k 76.
+_RANK_ENTRIES = 1 << 12
 
 
 # The scalar distance each metric's kernels rank by.
@@ -148,6 +152,34 @@ def _box_bounds(lo, hi, q_lo, q_hi, metric):
     return _accumulate(np.empty((q_lo.shape[0], lo.shape[1])), gaps, metric)
 
 
+def _grouped(blocks):
+    """Consecutive candidate blocks (sel, row, positions, counts), merged
+    into one whenever their padded matrix holds _RANK_ENTRIES entries, or
+    before the next block would take it past 4 _RANK_ENTRIES."""
+    group, b, c = [], 0, 0
+    for block in blocks:
+        sel, counts = block[0], block[3]
+        width = int(counts.max())
+        if group and (b + sel.size) * max(c, width) > 4 * _RANK_ENTRIES:
+            yield _merged(group)
+            group, b, c = [], 0, 0
+        group.append(block)
+        b, c = b + sel.size, max(c, width)
+        if b * c >= _RANK_ENTRIES:
+            yield _merged(group)
+            group, b, c = [], 0, 0
+    if group:
+        yield _merged(group)
+
+
+def _merged(group):
+    """One candidate block holding the rows of every block in ``group``."""
+    if len(group) == 1:
+        return group[0]
+    sel, _, positions, counts = (np.concatenate(part) for part in zip(*group))
+    return sel, np.repeat(np.arange(sel.size), counts), positions, counts
+
+
 def _padded(row, positions, counts, fill, out):
     """``out`` (b, c), row i holding the ``positions`` whose sorted ``row``
     is i, then ``fill``; ``counts`` is ``row``'s bincount over the b rows."""
@@ -242,6 +274,25 @@ class _IndexBase:
         ids = positions if self._ids is None else np.take(self._ids, positions)
         return _nearest_k(dist, k, work, keep, ids)
 
+    def _rank(self, rows, blocks, k, indices, distances, dist_buf, work_buf, keep_buf):
+        """Fill ``indices[sel]`` and ``distances[sel]`` for each candidate
+        block (sel, row, positions, counts) of ``blocks``: the query rows
+        ``rows[sel]``, and per candidate its block row (sorted) and column
+        position, with each block row's count. Consecutive blocks are
+        packed into one sentinel-padded matrix and ranked by one ``_verify``
+        (see ``_grouped``), in the flat scratch buffers, which the block
+        generator must no longer need once it has yielded a block."""
+        cand_buf = np.empty(0, dtype=np.intp)
+        for sel, row, positions, counts in _grouped(blocks):
+            b, c = sel.size, int(counts.max())
+            # grown to the largest matrix so far: kd blocks reach 2^15 entries, filter groups ~2^12
+            if b * c > cand_buf.size:
+                cand_buf = np.empty(b * c, dtype=np.intp)
+            cand = _padded(row, positions, counts, self.n_points, _view(cand_buf, b, c))
+            indices[sel], distances[sel] = self._verify(
+                rows[sel], cand, k, _view(dist_buf, b, c), _view(work_buf, b, c),
+                _view(keep_buf, b, c))
+
 
 class BruteForceIndex(_IndexBase):
     """Reference backend: an exact scan over every training row.
@@ -249,7 +300,9 @@ class BruteForceIndex(_IndexBase):
     ``query`` works through B = max(1, 1 MiB // (8 n)) query rows at a
     time, in three reused buffers: two float64 (B, n) matrices and one
     bool (B, n) mask. A block's candidate arrays hold at most B n entries
-    each, so they stay within 1 MiB too. The per-row scan ``_search``
+    each, so they stay within 1 MiB too, as does the candidate matrix of
+    each group of blocks that ``_rank`` packs into the three buffers and
+    an intp buffer. The per-row scan ``_search``
     stays as the reference, and every answer is bit-identical to it. Like
     the kd-tree, the index holds the sentinel-padded (d, n + 1) array;
     the euclidean filter adds the column means mu and one n-vector.
@@ -263,7 +316,8 @@ class BruteForceIndex(_IndexBase):
     n // (64 k))), and column j is a candidate for row i when
     F_ij <= K_i + 2c (S + W_i) + 2 tau, with S = max s: about sigma k per
     row, whose distances alone are computed, from the raw coordinates in
-    the scalar order, and ranked by ``_verify``. Here c = (8d + 64) 2^-52
+    the scalar order, and ranked by ``_verify``, the candidates of
+    consecutive blocks together (``_rank``). Here c = (8d + 64) 2^-52
     and tau = (d + 2) 2^-1000. Rows with S + W_i > 2^1000, where F could
     overflow, and the manhattan and hamming metrics take the exact loop:
     every distance of the block accumulated coordinate by coordinate from
@@ -362,10 +416,10 @@ class BruteForceIndex(_IndexBase):
             filtered = self._max_norm + spread <= _FILTER_LIMIT
             fast = np.flatnonzero(filtered)
             stride = max(1, min(_SAMPLE_STRIDE, n // (_SAMPLE_COLUMNS_PER_K * k)))
-            for start in range(0, fast.size, block):
-                sel = fast[start:start + block]
-                indices[sel], distances[sel] = self._filter_block(
-                    rows[sel], centered[sel], spread[sel], k, stride, acc, scratch, mask)
+            blocks = (self._filter_block(fast[start:start + block], centered, spread, k, stride,
+                                         acc, scratch, mask)
+                      for start in range(0, fast.size, block))
+            self._rank(rows, blocks, k, indices, distances, acc, scratch, mask)
             exact = np.flatnonzero(~filtered)
         for start in range(0, exact.size, block):
             sel = exact[start:start + block]
@@ -373,27 +427,23 @@ class BruteForceIndex(_IndexBase):
             indices[sel], distances[sel] = self._verify(
                 rows[sel], None, k, _view(acc, b, n), _view(scratch, b, n), _view(mask, b, n))
 
-    def _filter_block(self, q, centered, spread, k, stride, acc, scratch, mask):
-        """(indices, squared distances), each (b, k), for the b query rows
-        ``q`` by the euclidean filter and its exact verification; see the
-        class docstring. ``centered`` is q', ``spread`` is W, and K_i comes
-        from every ``stride``-th column of F."""
-        b, n = q.shape[0], self.n_points
-        approx = np.matmul(-2.0 * centered, self._columns[:, :n], out=_view(acc, b, n))
+    def _filter_block(self, sel, centered, spread, k, stride, acc, scratch, mask):
+        """The candidate block (sel, row, col, counts) of the euclidean
+        filter for the query rows ``sel``; see the class docstring.
+        ``centered`` holds q' and ``spread`` W for every query row, and K_i
+        comes from every ``stride``-th column of F."""
+        b, n = sel.size, self.n_points
+        approx = np.matmul(-2.0 * centered[sel], self._columns[:, :n], out=_view(acc, b, n))
         approx += self._norms
         sample = approx[:, ::stride]
         work = _view(scratch, b, sample.shape[1])
         np.copyto(work, sample)
         work.partition(k - 1, axis=1)
-        bound = work[:, k - 1] + 2 * self._slack * (self._max_norm + spread) + 2 * self._floor
+        bound = work[:, k - 1] + 2 * self._slack * (self._max_norm + spread[sel]) + 2 * self._floor
         # flatnonzero: on a (1, 100000) mask 2-d nonzero took 0.3-1.2 ms, this 0.03-0.09 ms
         row, col = np.divmod(np.flatnonzero(
             np.less_equal(approx, bound[:, None], out=_view(mask, b, n))), n)
-        counts = np.bincount(row, minlength=b)
-        c = int(counts.max())
-        cand = _padded(row, col, counts, n, np.empty((b, c), dtype=np.intp))
-        # F and its partitioned copy are spent: their buffers take the candidates.
-        return self._verify(q, cand, k, _view(acc, b, c), _view(scratch, b, c), _view(mask, b, c))
+        return sel, row, col, np.bincount(row, minlength=b)
 
 
 class KdTreeIndex(_IndexBase):
@@ -421,18 +471,21 @@ class KdTreeIndex(_IndexBase):
        of 2k real points (at least one leaf's worth) around its home leaf;
     2. keep the leaves whose box-to-box bound from the block's query box
        is ``<=`` the block's largest seed bound;
-    3. scan every (query, leaf) pair whose point-to-box bound (Friedman,
-       Bentley & Finkel, ACM TOMS 1977) is ``<=`` that query's seed bound,
-       as one candidate matrix padded with the sentinel;
-    4. select the nearest k with ``_verify``, the brute-force filter's
-       last step, which breaks ties on the training-row index.
+    3. take as candidates the points of every (query, leaf) pair whose
+       point-to-box bound (Friedman, Bentley & Finkel, ACM TOMS 1977) is
+       ``<=`` that query's seed bound;
+    4. hand them to ``_rank``, the brute-force filter's last step, which
+       ranks consecutive blocks' candidates together and breaks ties on
+       the training-row index.
 
     The seed bound is the k-th distance among real points, so it is at or
     above the true k-th distance, and by the module docstring's argument
     every point at or below the true k-th distance sits in a scanned leaf.
-    Each per-block buffer, the candidate matrix included, is capped at
-    _BLOCK_BYTES // 4 bytes: a block gives up rows until its buffers fit,
-    keeping at least one row.
+    Each per-block buffer, the block's padded candidate matrix included,
+    is capped at _BLOCK_BYTES // 4 bytes: a block gives up rows until its
+    buffers fit, keeping at least one row. ``_rank`` ranks groups of
+    blocks in the seed buffers: a group holds at most 4 _RANK_ENTRIES
+    entries, half the default cap, unless one block alone holds more.
     """
 
     def __init__(self, points, metric):
@@ -484,28 +537,33 @@ class KdTreeIndex(_IndexBase):
             node = 2 * node + 1 + right
         return node - ((1 << self._depth) - 1)
 
-    def _candidates(self, scan, live, counts, cand):
-        """Fill ``cand`` (b, max count) with the leaf-order positions of the
-        points in each row's scanned leaves, padded with the sentinel n."""
+    def _candidates(self, scan, live):
+        """(row, position): for each (row, scanned leaf) pair of ``scan``,
+        in row order, the row and the leaf-order position of each point."""
         row, leaf = np.nonzero(scan)
         leaf = live[leaf]
         size = self._leaf_size[leaf]
         first = np.cumsum(size) - size  # each pair's first slot in the flat list
-        pos = np.repeat(self._leaf_start[leaf] - first, size) + np.arange(int(counts.sum()))
-        row = np.repeat(row, size)
-        return _padded(row, pos, counts, self.n_points, cand)
+        pos = np.repeat(self._leaf_start[leaf] - first, size) + np.arange(int(size.sum()))
+        return np.repeat(row, size), pos
 
     def _search_rows(self, rows, k, indices, distances):
-        m, n = rows.shape[0], self.n_points
         cap = _BLOCK_BYTES // 4 // 8  # entries per block buffer
+        dist_buf, work_buf = np.empty(cap), np.empty(cap)
+        self._rank(rows, self._blocks(rows, k, dist_buf, work_buf), k, indices, distances,
+                   dist_buf, work_buf, np.empty(cap, dtype=bool))
+
+    def _blocks(self, rows, k, dist_buf, work_buf):
+        """Yield the candidate block (sel, row, positions, counts) of each
+        block of query rows, seeded in ``dist_buf`` and ``work_buf``, whose
+        size caps each block's buffers."""
+        m, n, cap = rows.shape[0], self.n_points, dist_buf.size
         home = self._home_leaves(rows)
         order = np.argsort(home, kind="stable")
         # Seeding from 2k points instead of k gives a bound close enough to
         # the true k-th distance to cut the scan to a few k points per row.
         width = min(n, max(2 * k, int(self._leaf_size.max())))
         window = np.clip(self._leaf_start + self._leaf_size // 2 - width // 2, 0, n - width)
-        dist_buf, work_buf = np.empty(cap), np.empty(cap)
-        cand_buf, keep_buf = np.empty(cap, dtype=np.intp), np.empty(cap, dtype=bool)
         start = 0
         while start < m:
             sel = order[start:start + min(_TREE_BLOCK_ROWS, max(1, cap // width))]
@@ -525,10 +583,7 @@ class KdTreeIndex(_IndexBase):
             counts = scan @ self._leaf_size[live]
             fits = np.maximum.accumulate(counts) * np.arange(1, b + 1) <= cap
             b = max(1, int(np.count_nonzero(fits)))
-            c = int(counts[:b].max())
-            cand = self._candidates(scan[:b], live, counts[:b], _view(cand_buf, b, c))
-            indices[sel[:b]], distances[sel[:b]] = self._verify(
-                q[:b], cand, k, _view(dist_buf, b, c), _view(work_buf, b, c), _view(keep_buf, b, c))
+            yield (sel[:b], *self._candidates(scan[:b], live), counts[:b])
             start += b
 
 

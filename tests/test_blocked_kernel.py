@@ -35,6 +35,13 @@ against a row-major reference build kept in this file, and the invariant
 its pruning rests on directly: no leaf's box bound exceeds the computed
 distance of any point in the leaf, also where squares underflow or
 overflow.
+
+Both backends hand their candidate blocks to one ranker, which packs
+consecutive blocks into one verify. With its group size patched so that
+every block is ranked alone, and so that all of a query's blocks are
+ranked in one verify, the hostile families and the kd-tree cases must
+give the bytes of the per-row scan on both backends. A call count on
+20000 x 8 keeps the filter's 6-row blocks from being ranked one by one.
 """
 
 import tracemalloc
@@ -290,10 +297,10 @@ def test_euclidean_filter_equals_per_row_scan_and_kd_tree_on_hostile_inputs(fami
     filtered, strides = [], set()
     filter_block = BruteForceIndex._filter_block
 
-    def counted(self, q, centered, norms, k, sample_stride, *buffers):
-        filtered.append(len(q))
+    def counted(self, sel, centered, spread, k, sample_stride, *buffers):
+        filtered.append(len(sel))
         strides.add(sample_stride)
-        return filter_block(self, q, centered, norms, k, sample_stride, *buffers)
+        return filter_block(self, sel, centered, spread, k, sample_stride, *buffers)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(BruteForceIndex, "_filter_block", counted)
@@ -357,6 +364,78 @@ def test_multi_level_kd_tree_equals_per_row_scan(case, metric):
         mp.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
         result = tree.query(queries, k)
     _assert_equals_per_row_oracle(result, BruteForceIndex(points, metric), queries, k)
+
+
+def _ranked_rows(index, queries, k, block, tree_rows, rank_entries):
+    """``index.query`` with B = ``block`` brute-force rows per block, the
+    kd-tree's block rows and buffer cap patched small, and candidate blocks
+    grouped by ``rank_entries``; and the query-row count of each verify
+    that ranks candidate blocks (the exact loop's are left out)."""
+    rows = []
+    verify = neighbors._IndexBase._verify
+
+    def recorded(self, q, positions, *args):
+        if positions is not None:
+            rows.append(len(q))
+        return verify(self, q, positions, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors._IndexBase, "_verify", recorded)
+        mp.setattr(neighbors, "_RANK_ENTRIES", rank_entries)
+        mp.setattr(neighbors, "_TREE_BLOCK_ROWS", tree_rows)
+        return _query_blocked(index, queries, k, block), rows
+
+
+@pytest.mark.parametrize("rank_entries", [1, 2**30])
+@pytest.mark.parametrize("family", [*HOSTILE_FAMILIES, "tree"])
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_grouped_ranking_equals_per_row_scan_on_both_backends(family, rank_entries, data):
+    # rank_entries 1 ranks every candidate block alone, 2^30 all of a
+    # query's blocks in one verify; the bytes must not depend on it
+    if family == "tree":
+        points, queries, k = data.draw(tree_cases())[:3]
+        metric, stride = data.draw(st.sampled_from(NUMERIC_METRICS)), None
+    else:
+        points, queries, k, _, stride = data.draw(hostile_cases(family))
+        metric = DistanceMetric.EUCLIDEAN
+    block, tree_rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+    brute, tree = BruteForceIndex(points, metric), KdTreeIndex(points, metric)
+    with pytest.MonkeyPatch.context() as mp:
+        if stride is not None:
+            mp.setattr(neighbors, "_SAMPLE_STRIDE", stride)
+            mp.setattr(neighbors, "_SAMPLE_COLUMNS_PER_K", 1)
+        result, brute_rows = _ranked_rows(brute, queries, k, block, tree_rows, rank_entries)
+        tree_result, tree_rows_ranked = _ranked_rows(tree, queries, k, block, tree_rows,
+                                                     rank_entries)
+    if rank_entries == 1:
+        assert max(brute_rows, default=0) <= block and max(tree_rows_ranked) <= tree_rows
+    else:
+        assert len(brute_rows) <= 1 and tree_rows_ranked == [len(queries)]
+    if family in FILTERED_FAMILIES:
+        assert sum(brute_rows) == len(queries)
+    _assert_equals_per_row_oracle(result, brute, queries, k)
+    assert result.indices.tobytes() == tree_result.indices.tobytes()
+    assert result.distances.tobytes() == tree_result.distances.tobytes()
+
+
+def test_brute_force_ranks_many_filter_blocks_per_verify():
+    # 20000 x 8 filters 6 query rows per block: one verify per block made 167
+    # calls here, and grouping blocks brings them under 20
+    rng = np.random.default_rng(19)
+    index = BruteForceIndex(rng.normal(size=(20_000, 8)), DistanceMetric.EUCLIDEAN)
+    queries = rng.normal(size=(1000, 8))
+    calls = []
+    verify = neighbors._IndexBase._verify
+
+    def counted(self, *args):
+        calls.append(len(args[0]))
+        return verify(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors._IndexBase, "_verify", counted)
+        index.query(queries, 10)
+    assert sum(calls) == len(queries) and len(calls) <= 20
 
 
 @pytest.mark.parametrize("metric", NUMERIC_METRICS)

@@ -668,6 +668,21 @@ class TestDatasetInvariants:
                        pickle.loads(pickle.dumps(ds)).codebooks):
             assert copied == ds.codebooks and type(copied) is type(ds.codebooks)
 
+    @pytest.mark.parametrize("copy_of", [lambda obj: pickle.loads(pickle.dumps(obj)),
+                                         copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_keep_their_arrays_read_only(self, tmp_path, copy_of):
+        ds = load_csv(_write(tmp_path, "c,x,y\na,1.5,1\nb,-2,2\n"), "y", categorical_columns={"c"})
+        s = fit_standardizer(ds)
+        data, params = copy_of(ds), copy_of(s)
+        for copied, original in ((data.features, ds.features), (data.target, ds.target),
+                                 (params.means, s.means), (params.sds, s.sds)):
+            assert copied.tobytes() == original.tobytes() and not copied.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                copied[0] = 9.0
+        assert (data.column_kinds, data.column_names) == (ds.column_kinds, ds.column_names)
+        assert (params.column_kinds, params.column_names) == (s.column_kinds, s.column_names)
+        assert data.codebooks == ds.codebooks and type(data.codebooks) is type(ds.codebooks)
+
 
 class TestSplit:
     def test_80_20(self):
