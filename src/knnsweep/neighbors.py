@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import prod
 
 import numpy as np
 
@@ -49,11 +50,15 @@ _SAMPLE_STRIDE = 4
 _SAMPLE_COLUMNS_PER_K = 64
 # Query rows the kd-tree searches together. Rows are sorted by home leaf,
 # so a small block stays spatially compact and its leaf filter stays tight.
-_TREE_BLOCK_ROWS = 16
-# Consecutive candidate blocks are ranked by one verify once their padded
+# 8000 x 3, k 76: 16, 32 and 64 rows took 59, 51 and 60 ms (100000 x 2, k 10: 37, 38, 52 ms).
+_TREE_BLOCK_ROWS = 32
+# Consecutive candidate blocks are ranked together once their padded
 # matrix holds this many entries, never past 4x it unless one block alone is.
-# 20000 x 8, k 10: 17 verifies, not 167, query ~20% faster; 2^13 slowed 8000 x 3, k 76.
+# 20000 x 8, k 10: 17 groups, not 167, query ~20% faster; 2^13 slowed 8000 x 3, k 76.
 _RANK_ENTRIES = 1 << 12
+# The euclidean filter's product runs in column slices of at most this M*N*K. OpenBLAS
+# put slices of 2^20 on 2 threads in 27 of 30 processes ((6, 9) @ (9, 19418)), 10^6 in 0 of 30.
+_PRODUCT_SIZE = 10**6
 
 
 # The scalar distance each metric's kernels rank by.
@@ -117,8 +122,9 @@ def _nearest_k(dist, k, work, keep, ids=None):
     candidate, so at k = c every entry is; sorting them on (row, distance,
     training row) and taking the first k of each row is that order. When no
     row ties its k-th value, every row keeps exactly k candidates, and each
-    row is sorted on its own. ``work`` and the bool ``keep`` are scratch
-    shaped like ``dist``.
+    row is sorted on its own, on distance alone unless two of a row's k
+    sorted distances are equal: without such a pair the order is unique.
+    ``work`` and the bool ``keep`` are scratch shaped like ``dist``.
     """
     b, c = dist.shape
     np.copyto(work, dist)
@@ -130,8 +136,13 @@ def _nearest_k(dist, k, work, keep, ids=None):
     # Without this per-row sort, sweep_kd_d3 job_s was slower in 5 of 5 alternating bench pairs.
     if flat.size == b * k:
         cand, index = cand.reshape(b, k), index.reshape(b, k)
-        order = np.lexsort((index, cand), axis=1)
-        return np.take_along_axis(index, order, 1), np.take_along_axis(cand, order, 1)
+        # at (32, 76) argsort took 29 us and the two-key lexsort 119 us
+        order = np.argsort(cand, axis=1)
+        ranked = np.take_along_axis(cand, order, 1)
+        if (ranked[:, 1:] == ranked[:, :-1]).any():
+            order = np.lexsort((index, cand), axis=1)
+            ranked = np.take_along_axis(cand, order, 1)
+        return np.take_along_axis(index, order, 1), ranked
     row = flat // c
     order = np.lexsort((index, cand, row))
     counts = np.bincount(row, minlength=b)
@@ -147,24 +158,28 @@ def _box_bounds(lo, hi, q_lo, q_hi, metric):
     the gap is max(lo - q_hi, q_lo - hi, 0), and ``_accumulate`` sums the
     gaps as it sums coordinate differences (see the module docstring).
     """
-    gaps = (np.maximum(np.maximum(lo[j] - q_hi[:, j:j + 1], q_lo[:, j:j + 1] - hi[j]), 0.0)
-            for j in range(lo.shape[0]))
-    return _accumulate(np.empty((q_lo.shape[0], lo.shape[1])), gaps, metric)
+    def gap(j):  # in place: 200 KiB less peak on a 100000 x 2, k 10 query
+        below = lo[j] - q_hi[:, j:j + 1]
+        np.maximum(below, q_lo[:, j:j + 1] - hi[j], out=below)
+        return np.maximum(below, 0.0, out=below)
+
+    return _accumulate(np.empty((q_lo.shape[0], lo.shape[1])), map(gap, range(lo.shape[0])),
+                       metric)
 
 
 def _grouped(blocks):
-    """Consecutive candidate blocks (sel, row, positions, counts), merged
+    """Consecutive candidate blocks (sel, positions, counts, bound), merged
     into one whenever their padded matrix holds _RANK_ENTRIES entries, or
     before the next block would take it past 4 _RANK_ENTRIES."""
     group, b, c = [], 0, 0
     for block in blocks:
-        sel, counts = block[0], block[3]
-        width = int(counts.max())
-        if group and (b + sel.size) * max(c, width) > 4 * _RANK_ENTRIES:
+        rows, width = block[0].size, int(block[2].max())
+        if group and (b + rows) * max(c, width) > 4 * _RANK_ENTRIES:
             yield _merged(group)
             group, b, c = [], 0, 0
         group.append(block)
-        b, c = b + sel.size, max(c, width)
+        del block  # a ranked block is freed before the next is made: 120 KiB less peak
+        b, c = b + rows, max(c, width)
         if b * c >= _RANK_ENTRIES:
             yield _merged(group)
             group, b, c = [], 0, 0
@@ -176,25 +191,18 @@ def _merged(group):
     """One candidate block holding the rows of every block in ``group``."""
     if len(group) == 1:
         return group[0]
-    sel, _, positions, counts = (np.concatenate(part) for part in zip(*group))
-    return sel, np.repeat(np.arange(sel.size), counts), positions, counts
+    sel, positions, counts, bound = zip(*group)
+    return (np.concatenate(sel), np.concatenate(positions), np.concatenate(counts),
+            None if bound[0] is None else np.concatenate(bound))
 
 
-def _padded(row, positions, counts, fill, out):
-    """``out`` (b, c), row i holding the ``positions`` whose sorted ``row``
-    is i, then ``fill``; ``counts`` is ``row``'s bincount over the b rows."""
-    slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-    out.fill(fill)
-    out[row, slot] = positions
-    return out
-
-
-def _view(buffer, rows, cols):
-    """A (rows, cols) view of the flat scratch ``buffer``, or a new array
-    where one row alone is wider than the buffer."""
-    if rows * cols > buffer.size:
-        return np.empty((rows, cols), dtype=buffer.dtype)
-    return buffer[:rows * cols].reshape(rows, cols)
+def _view(buffer, *shape):
+    """A view of the flat scratch ``buffer`` in ``shape``, or a new array
+    where the shape holds more entries than the buffer."""
+    size = prod(shape)
+    if size > buffer.size:
+        return np.empty(shape, dtype=buffer.dtype)
+    return buffer[:size].reshape(shape)
 
 
 class _IndexBase:
@@ -253,45 +261,59 @@ class _IndexBase:
         shape = arr.shape[:-1] + (k,)
         return NeighborSet(indices=indices.reshape(shape), distances=distances.reshape(shape))
 
-    def _distances(self, q, positions, dist, work):
+    def _distances(self, q, positions, dist, work, counts=None):
         """Fill ``dist`` with the internal distances from each query q[i]
-        to the columns at ``positions[i]`` (n is the sentinel), or to every
-        real column where ``positions`` is None; ``work`` is scratch like it."""
+        to the columns at ``positions[i]``, or to every real column where
+        ``positions`` is None. Where ``counts`` is given, ``positions`` and
+        ``dist`` are flat: the first counts[0] entries are from q[0], the
+        next counts[1] from q[1], and so on. ``work`` is scratch like ``dist``."""
         # None broadcasts, not gathers: 0.28 s against 0.50 s on 20000 x 8 manhattan.
         # mode="clip" writes straight into ``out``; every position is valid
         columns = self._columns[:, :-1] if positions is None else (
             np.take(column, positions, out=work, mode="clip") for column in self._columns)
+        coords = (q[:, j:j + 1] if counts is None else np.repeat(q[:, j], counts)
+                  for j in range(self.dim))
         # hamming's term is a mismatch, 0.0 or 1.0: counts are exact in float64
         term = np.not_equal if self.metric is DistanceMetric.HAMMING else np.subtract
-        terms = (term(column, q[:, j:j + 1], out=work) for j, column in enumerate(columns))
+        terms = (term(column, coord, out=work) for column, coord in zip(columns, coords))
         return _accumulate(dist, terms, self.metric)
-
-    def _verify(self, q, positions, k, dist, work, keep):
-        """(indices, internal distances), each (b, k): per query q[i], the k
-        nearest of at least k real points at ``positions[i]`` (None: every
-        brute-force row); sentinel pads rank last, as row n."""
-        self._distances(q, positions, dist, work)
-        ids = positions if self._ids is None else np.take(self._ids, positions)
-        return _nearest_k(dist, k, work, keep, ids)
 
     def _rank(self, rows, blocks, k, indices, distances, dist_buf, work_buf, keep_buf):
         """Fill ``indices[sel]`` and ``distances[sel]`` for each candidate
-        block (sel, row, positions, counts) of ``blocks``: the query rows
-        ``rows[sel]``, and per candidate its block row (sorted) and column
-        position, with each block row's count. Consecutive blocks are
-        packed into one sentinel-padded matrix and ranked by one ``_verify``
-        (see ``_grouped``), in the flat scratch buffers, which the block
-        generator must no longer need once it has yielded a block."""
-        cand_buf = np.empty(0, dtype=np.intp)
-        for sel, row, positions, counts in _grouped(blocks):
-            b, c = sel.size, int(counts.max())
-            # grown to the largest matrix so far: kd blocks reach 2^15 entries, filter groups ~2^12
-            if b * c > cand_buf.size:
-                cand_buf = np.empty(b * c, dtype=np.intp)
-            cand = _padded(row, positions, counts, self.n_points, _view(cand_buf, b, c))
-            indices[sel], distances[sel] = self._verify(
-                rows[sel], cand, k, _view(dist_buf, b, c), _view(work_buf, b, c),
-                _view(keep_buf, b, c))
+        block (sel, positions, counts, bound) of ``blocks``: the query rows
+        ``rows[sel]``, the column positions of their candidates, row after
+        row, each row's count and, for the kd-tree, each row's seed bound
+        (brute force: None). Consecutive blocks are merged (see
+        ``_grouped``). A group's distances are computed once, on the flat
+        candidate list; candidates above their row's bound are dropped (see
+        ``KdTreeIndex``), and the rest are padded (distance inf, training
+        row n) into one matrix for ``_nearest_k``. All of it runs in the flat
+        scratch buffers, which the block generator must no longer need once
+        it has yielded a block."""
+        id_buf = np.empty(0, dtype=np.intp)
+        for sel, positions, counts, bound in _grouped(blocks):
+            b, size = sel.size, positions.size
+            dist = self._distances(rows[sel], positions, _view(dist_buf, size),
+                                   _view(work_buf, size), counts)
+            if bound is not None:
+                kept = np.flatnonzero(np.less_equal(dist, np.repeat(bound, counts),
+                                                    out=_view(keep_buf, size)))
+                positions, dist = positions.take(kept), dist.take(kept)
+                counts = np.searchsorted(kept, np.cumsum(counts))  # kept up to each row's end
+                counts[1:] -= counts[:-1]  # numpy buffers the overlap; 3x faster than np.diff
+            c = int(counts.max())
+            # grown to the largest matrix so far: kd groups reach 2^15 entries, filter groups ~2^12
+            if b * c > id_buf.size:
+                id_buf = np.empty(b * c, dtype=np.intp)
+            filled = np.less(np.arange(c), counts[:, None], out=_view(keep_buf, b, c))
+            padded, ids = _view(work_buf, b, c), _view(id_buf, b, c)
+            padded.fill(np.inf)
+            padded[filled] = dist
+            ids.fill(self.n_points)
+            ids[filled] = positions if self._ids is None else np.take(self._ids, positions)
+            indices[sel], distances[sel] = _nearest_k(
+                padded, k, _view(dist_buf, b, c), _view(keep_buf, b, c), ids)
+            del positions, dist  # before the next block is made: 84 KiB less peak at 8000 x 3, k 76
 
 
 class BruteForceIndex(_IndexBase):
@@ -310,14 +332,15 @@ class BruteForceIndex(_IndexBase):
     Euclidean rows are filtered, then verified. At build, per training row
     x, s = fl(|fl(x - mu)|^2) is kept as fl(s (1 - c)). Only the query is
     centered: q' = fl(q - mu) and W = 2 fl(sum_j |q'_j| (|q'_j| + |mu_j|)).
-    Per block, F = fl(-2 q') @ X + fl(s (1 - c)) is one BLAS matmul on the
-    stored points X, read in place, and one addition. K_i is the k-th
-    smallest F of row i over every sigma-th column, sigma = max(1, min(4,
-    n // (64 k))), and column j is a candidate for row i when
-    F_ij <= K_i + 2c (S + W_i) + 2 tau, with S = max s: about sigma k per
-    row, whose distances alone are computed, from the raw coordinates in
-    the scalar order, and ranked by ``_verify``, the candidates of
-    consecutive blocks together (``_rank``). Here c = (8d + 64) 2^-52
+    Per block, F = fl(-2 q') @ X + fl(s (1 - c)) is a BLAS matmul on the
+    stored points X, read in place in column slices of at most
+    _PRODUCT_SIZE multiply-adds (one slice at 20000 x 8), and one
+    addition. K_i is the k-th smallest F of row i over every sigma-th
+    column, sigma = max(1, min(4, n // (64 k))), and column j is a
+    candidate for row i when F_ij <= K_i + 2c (S + W_i) + 2 tau, with
+    S = max s: about sigma k per row, whose distances alone are computed,
+    from the raw coordinates in the scalar order, and ranked by ``_rank``,
+    the candidates of consecutive blocks together. Here c = (8d + 64) 2^-52
     and tau = (d + 2) 2^-1000. Rows with S + W_i > 2^1000, where F could
     overflow, and the manhattan and hamming metrics take the exact loop:
     every distance of the block accumulated coordinate by coordinate from
@@ -424,16 +447,20 @@ class BruteForceIndex(_IndexBase):
         for start in range(0, exact.size, block):
             sel = exact[start:start + block]
             b = sel.size
-            indices[sel], distances[sel] = self._verify(
-                rows[sel], None, k, _view(acc, b, n), _view(scratch, b, n), _view(mask, b, n))
+            dist = self._distances(rows[sel], None, _view(acc, b, n), _view(scratch, b, n))
+            indices[sel], distances[sel] = _nearest_k(dist, k, _view(scratch, b, n),
+                                                      _view(mask, b, n))
 
     def _filter_block(self, sel, centered, spread, k, stride, acc, scratch, mask):
-        """The candidate block (sel, row, col, counts) of the euclidean
-        filter for the query rows ``sel``; see the class docstring.
-        ``centered`` holds q' and ``spread`` W for every query row, and K_i
-        comes from every ``stride``-th column of F."""
+        """The candidate block (sel, columns, counts, None) of the
+        euclidean filter for the query rows ``sel``; see the class
+        docstring. ``centered`` holds q' and ``spread`` W for every query
+        row, and K_i comes from every ``stride``-th column of F."""
         b, n = sel.size, self.n_points
-        approx = np.matmul(-2.0 * centered[sel], self._columns[:, :n], out=_view(acc, b, n))
+        lhs, approx = -2.0 * centered[sel], _view(acc, b, n)
+        step = max(1, _PRODUCT_SIZE // (b * self.dim))
+        for s in range(0, n, step):
+            np.matmul(lhs, self._columns[:, s:min(s + step, n)], out=approx[:, s:s + step])
         approx += self._norms
         sample = approx[:, ::stride]
         work = _view(scratch, b, sample.shape[1])
@@ -443,7 +470,7 @@ class BruteForceIndex(_IndexBase):
         # flatnonzero: on a (1, 100000) mask 2-d nonzero took 0.3-1.2 ms, this 0.03-0.09 ms
         row, col = np.divmod(np.flatnonzero(
             np.less_equal(approx, bound[:, None], out=_view(mask, b, n))), n)
-        return sel, row, col, np.bincount(row, minlength=b)
+        return sel, col, np.bincount(row, minlength=b), None
 
 
 class KdTreeIndex(_IndexBase):
@@ -474,13 +501,20 @@ class KdTreeIndex(_IndexBase):
     3. take as candidates the points of every (query, leaf) pair whose
        point-to-box bound (Friedman, Bentley & Finkel, ACM TOMS 1977) is
        ``<=`` that query's seed bound;
-    4. hand them to ``_rank``, the brute-force filter's last step, which
-       ranks consecutive blocks' candidates together and breaks ties on
-       the training-row index.
+    4. hand them, with each query's seed bound, to ``_rank``, the
+       brute-force filter's last step, which computes each candidate's
+       distance once, drops those above their query's seed bound, and
+       ranks the rest of consecutive blocks together, breaking ties on the
+       training-row index.
 
     The seed bound is the k-th distance among real points, so it is at or
     above the true k-th distance, and by the module docstring's argument
     every point at or below the true k-th distance sits in a scanned leaf.
+    The cut in step 4 is exact too: ``_rank`` computes each distance by
+    the IEEE steps of the seed, so the k seed points pass ``<=`` again, and
+    every point that ties or beats the true k-th distance is at or below
+    the seed bound. At 8000 x 3 and k 76, a query row scans about 470
+    points, 190 of them at or below its seed bound.
     Each per-block buffer, the block's padded candidate matrix included,
     is capped at _BLOCK_BYTES // 4 bytes: a block gives up rows until its
     buffers fit, keeping at least one row. ``_rank`` ranks groups of
@@ -538,14 +572,12 @@ class KdTreeIndex(_IndexBase):
         return node - ((1 << self._depth) - 1)
 
     def _candidates(self, scan, live):
-        """(row, position): for each (row, scanned leaf) pair of ``scan``,
-        in row order, the row and the leaf-order position of each point."""
-        row, leaf = np.nonzero(scan)
-        leaf = live[leaf]
+        """The leaf-order position of each point of each (row, scanned
+        leaf) pair of ``scan``, in row order."""
+        leaf = live[np.nonzero(scan)[1]]
         size = self._leaf_size[leaf]
         first = np.cumsum(size) - size  # each pair's first slot in the flat list
-        pos = np.repeat(self._leaf_start[leaf] - first, size) + np.arange(int(size.sum()))
-        return np.repeat(row, size), pos
+        return np.repeat(self._leaf_start[leaf] - first, size) + np.arange(int(size.sum()))
 
     def _search_rows(self, rows, k, indices, distances):
         cap = _BLOCK_BYTES // 4 // 8  # entries per block buffer
@@ -554,9 +586,9 @@ class KdTreeIndex(_IndexBase):
                    dist_buf, work_buf, np.empty(cap, dtype=bool))
 
     def _blocks(self, rows, k, dist_buf, work_buf):
-        """Yield the candidate block (sel, row, positions, counts) of each
-        block of query rows, seeded in ``dist_buf`` and ``work_buf``, whose
-        size caps each block's buffers."""
+        """Yield the candidate block (sel, positions, counts, bound) of
+        each block of query rows, seeded in ``dist_buf`` and ``work_buf``,
+        whose size caps each block's buffers."""
         m, n, cap = rows.shape[0], self.n_points, dist_buf.size
         home = self._home_leaves(rows)
         order = np.argsort(home, kind="stable")
@@ -583,7 +615,7 @@ class KdTreeIndex(_IndexBase):
             counts = scan @ self._leaf_size[live]
             fits = np.maximum.accumulate(counts) * np.arange(1, b + 1) <= cap
             b = max(1, int(np.count_nonzero(fits)))
-            yield (sel[:b], *self._candidates(scan[:b], live), counts[:b])
+            yield sel[:b], self._candidates(scan[:b], live), counts[:b], bound[:b]
             start += b
 
 

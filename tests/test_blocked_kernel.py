@@ -36,12 +36,24 @@ its pruning rests on directly: no leaf's box bound exceeds the computed
 distance of any point in the leaf, also where squares underflow or
 overflow.
 
-Both backends hand their candidate blocks to one ranker, which packs
-consecutive blocks into one verify. With its group size patched so that
+Both backends hand their candidate blocks to one ranker, which ranks
+consecutive blocks as one group. With its group size patched so that
 every block is ranked alone, and so that all of a query's blocks are
-ranked in one verify, the hostile families and the kd-tree cases must
+ranked as one group, the hostile families and the kd-tree cases must
 give the bytes of the per-row scan on both backends. A call count on
 20000 x 8 keeps the filter's 6-row blocks from being ranked one by one.
+In the hostile-family test the filter's product runs in many column
+slices.
+
+The ranker's last step, ``_nearest_k``, sorts a row on distance alone
+when its k nearest distances are all different; on small matrices of
+four values (inf among them) with shuffled training rows it must give
+Python's sorted (distance, row) pairs, and without its two-key fallback
+it does not. The kd-tree drops candidates above their row's seed bound:
+on an integer grid, where points outside the seed window tie the k-th
+distance, the answers must stay those of the per-row scan while the cut
+drops candidates, and a strict ``<`` cut fails. A tracemalloc guard keeps
+the sweep-shape kd query (8000 x 3, k 76, 2000 rows) below 5 MiB.
 """
 
 import tracemalloc
@@ -185,14 +197,14 @@ def test_euclidean_filter_stays_narrow_under_a_large_offset():
     rows = rng.normal(size=(n + 100, d)) + 1e9
     index = BruteForceIndex(rows[:n], DistanceMetric.EUCLIDEAN)
     widths = []
-    verify = neighbors._IndexBase._verify
+    nearest_k = neighbors._nearest_k
 
-    def recorded(self, q, positions, *args):
-        widths.append(positions.shape[1])
-        return verify(self, q, positions, *args)
+    def recorded(dist, *args):
+        widths.append(dist.shape[1])  # brute force pads its candidates to the widest row
+        return nearest_k(dist, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neighbors._IndexBase, "_verify", recorded)
+        mp.setattr(neighbors, "_nearest_k", recorded)
         result = index.query(rows[n:], 10)
     assert widths and max(widths) < n // 10
     tree = KdTreeIndex(rows[:n], DistanceMetric.EUCLIDEAN).query(rows[n:], 10)
@@ -304,6 +316,8 @@ def test_euclidean_filter_equals_per_row_scan_and_kd_tree_on_hostile_inputs(fami
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(BruteForceIndex, "_filter_block", counted)
+        # at most 64 products' M*N*K: every product runs in several column slices
+        mp.setattr(neighbors, "_PRODUCT_SIZE", 64)
         if stride is not None:  # s = min(stride, n // k), which is stride here
             mp.setattr(neighbors, "_SAMPLE_STRIDE", stride)
             mp.setattr(neighbors, "_SAMPLE_COLUMNS_PER_K", 1)
@@ -369,18 +383,18 @@ def test_multi_level_kd_tree_equals_per_row_scan(case, metric):
 def _ranked_rows(index, queries, k, block, tree_rows, rank_entries):
     """``index.query`` with B = ``block`` brute-force rows per block, the
     kd-tree's block rows and buffer cap patched small, and candidate blocks
-    grouped by ``rank_entries``; and the query-row count of each verify
-    that ranks candidate blocks (the exact loop's are left out)."""
+    grouped by ``rank_entries``; and the query-row count of each group that
+    ``_rank`` ranks (the exact loop, which passes no ids, is left out)."""
     rows = []
-    verify = neighbors._IndexBase._verify
+    nearest_k = neighbors._nearest_k
 
-    def recorded(self, q, positions, *args):
-        if positions is not None:
-            rows.append(len(q))
-        return verify(self, q, positions, *args)
+    def recorded(dist, k, work, keep, ids=None):
+        if ids is not None:
+            rows.append(len(dist))
+        return nearest_k(dist, k, work, keep, ids)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neighbors._IndexBase, "_verify", recorded)
+        mp.setattr(neighbors, "_nearest_k", recorded)
         mp.setattr(neighbors, "_RANK_ENTRIES", rank_entries)
         mp.setattr(neighbors, "_TREE_BLOCK_ROWS", tree_rows)
         return _query_blocked(index, queries, k, block), rows
@@ -420,20 +434,20 @@ def test_grouped_ranking_equals_per_row_scan_on_both_backends(family, rank_entri
 
 
 def test_brute_force_ranks_many_filter_blocks_per_verify():
-    # 20000 x 8 filters 6 query rows per block: one verify per block made 167
-    # calls here, and grouping blocks brings them under 20
+    # 20000 x 8 filters 6 query rows per block: ranking each block alone made
+    # 167 calls here, and grouping blocks brings them under 20
     rng = np.random.default_rng(19)
     index = BruteForceIndex(rng.normal(size=(20_000, 8)), DistanceMetric.EUCLIDEAN)
     queries = rng.normal(size=(1000, 8))
     calls = []
-    verify = neighbors._IndexBase._verify
+    nearest_k = neighbors._nearest_k
 
-    def counted(self, *args):
-        calls.append(len(args[0]))
-        return verify(self, *args)
+    def counted(dist, *args):
+        calls.append(len(dist))
+        return nearest_k(dist, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neighbors._IndexBase, "_verify", counted)
+        mp.setattr(neighbors, "_nearest_k", counted)
         index.query(queries, 10)
     assert sum(calls) == len(queries) and len(calls) <= 20
 
@@ -550,3 +564,67 @@ def test_kd_build_equals_the_per_level_reference(points):
             bounds = [neighbors._box_bounds(lo, hi, queries, queries, metric) for lo, hi in
                       ((tree._lo, tree._hi), (reference["_lo"], reference["_hi"]))]
         assert bounds[0].tobytes() == bounds[1].tobytes()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_nearest_k_breaks_every_tie_on_the_training_row(data):
+    # four values, one of them inf, so that ties inside the kept k and at the
+    # k-th value are common; ids are shuffled, so column order is not id order
+    b, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(1, c))
+    dist = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, np.inf]),
+                                       min_size=b * c, max_size=b * c))).reshape(b, c)
+    ids = np.array(data.draw(st.permutations(range(b * c))), dtype=np.intp).reshape(b, c)
+    indices, distances = neighbors._nearest_k(dist, k, np.empty((b, c)),
+                                              np.empty((b, c), dtype=bool), ids)
+    for i in range(b):
+        expected = sorted(zip(dist[i].tolist(), ids[i].tolist()))[:k]
+        assert list(zip(distances[i].tolist(), indices[i].tolist())) == expected
+
+
+@pytest.mark.parametrize("metric", NUMERIC_METRICS)
+def test_seed_bound_cut_keeps_every_point_that_ties_the_kth_distance(metric):
+    # Every point of a 24 x 24 integer grid, twice, in shuffled order: many
+    # points tie the k-th distance, about half of them outside the query's
+    # seed window (in 507 of the 544 euclidean (query, k) cases, at least
+    # one). The kd-tree drops each candidate above its row's seed bound;
+    # every point on the bound must stay.
+    grid = np.array([(x, y) for x in range(24) for y in range(24)], dtype=float)
+    points = np.repeat(grid, 2, axis=0)[np.random.default_rng(20).permutation(2 * len(grid))]
+    queries = np.vstack([grid[::7], grid[::11] + 0.5])
+    tree, brute = KdTreeIndex(points, metric), BruteForceIndex(points, metric)
+    scanned, ranked = [], []
+    candidates, nearest_k = KdTreeIndex._candidates, neighbors._nearest_k
+
+    def counted_scan(self, *args):
+        positions = candidates(self, *args)
+        scanned.append(positions.size)
+        return positions
+
+    def counted_rank(dist, k, work, keep, ids=None):
+        ranked.append(int(np.count_nonzero(ids < len(points))))  # real points, not pads
+        return nearest_k(dist, k, work, keep, ids)
+
+    for k in (3, 10, 26, 49):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(KdTreeIndex, "_candidates", counted_scan)
+            mp.setattr(neighbors, "_nearest_k", counted_rank)
+            result = tree.query(queries, k)
+        _assert_equals_per_row_oracle(result, brute, queries, k)
+    assert sum(ranked) < sum(scanned)
+
+
+def test_kd_query_peaks_below_5_mib_at_the_sweep_shape():
+    # the sweep's defaults: 8000 x 3 training rows, 2000 test rows, k 76; the
+    # (2000, 76) indices and distances alone take 2.3 MiB
+    rng = np.random.default_rng(21)
+    tree = KdTreeIndex(rng.uniform(0.0, 10.0, size=(8000, 3)), DistanceMetric.EUCLIDEAN)
+    queries = rng.uniform(0.0, 10.0, size=(2000, 3))
+    tracemalloc.start()
+    try:
+        tree.query(queries, 76)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
