@@ -52,6 +52,11 @@ _SAMPLE_COLUMNS_PER_K = 64
 # so a small block stays spatially compact and its leaf filter stays tight.
 # 8000 x 3, k 76: 16, 32 and 64 rows took 59, 51 and 60 ms (100000 x 2, k 10: 37, 38, 52 ms).
 _TREE_BLOCK_ROWS = 32
+# A block also ends where its rows leave one subtree of 2^this leaves, so it never
+# straddles a higher split and keeps leaves on both sides. density_kd_d2's query
+# (100000 x 2, k 10): 6, 7, 8, 9 and no cut took 49, 44, 44, 44, 55 ms, 4 took 112 ms
+# (uniform 100000 x 2: 49, 41, 37, 40, 42 ms); sweep_kd_d3's (8000 x 3, k 76) stays flat.
+_TREE_BLOCK_LEVELS = 8
 # Consecutive candidate blocks are ranked together once their padded
 # matrix holds this many entries, never past 4x it unless one block alone is.
 # 20000 x 8, k 10: 17 groups, not 167, query ~20% faster; 2^13 slowed 8000 x 3, k 76.
@@ -492,7 +497,11 @@ class KdTreeIndex(_IndexBase):
     Search, the query-block form of dual-tree search (Gray & Moore, NIPS
     2000): every query walks down to its home leaf in D vectorized steps,
     and the rows are sorted by home leaf, so consecutive rows are close in
-    space. For each block of rows:
+    space. A block takes up to _TREE_BLOCK_ROWS consecutive rows and ends
+    early where the next row's home leaf leaves the subtree of
+    2^_TREE_BLOCK_LEVELS leaves that holds its first row's: its rows then
+    lie in that subtree's cell, so no block straddles a split above it and
+    keeps leaves on both of its sides in step 2. For each block of rows:
 
     1. seed each query's bound with the k-th smallest distance to a window
        of 2k real points (at least one leaf's worth) around its home leaf;
@@ -513,7 +522,12 @@ class KdTreeIndex(_IndexBase):
     The cut in step 4 is exact too: ``_rank`` computes each distance by
     the IEEE steps of the seed, so the k seed points pass ``<=`` again, and
     every point that ties or beats the true k-th distance is at or below
-    the seed bound. At 8000 x 3 and k 76, a query row scans about 470
+    the seed bound. How rows are cut into blocks changes no candidate: a
+    query's seed window and bound depend on its home leaf alone, and it
+    scans exactly the leaves whose point-to-box bound is within its seed
+    bound, as step 2 keeps every such leaf (the block's query box holds
+    the query, and the block's largest seed bound is at or above its own).
+    At 8000 x 3 and k 76, a query row scans about 470
     points, 190 of them at or below its seed bound.
     Each per-block buffer, the block's padded candidate matrix included,
     is capped at _BLOCK_BYTES // 4 bytes: a block gives up rows until its
@@ -592,16 +606,21 @@ class KdTreeIndex(_IndexBase):
         m, n, cap = rows.shape[0], self.n_points, dist_buf.size
         home = self._home_leaves(rows)
         order = np.argsort(home, kind="stable")
+        home = home[order]
+        # the first sorted row past the subtree of 2^_TREE_BLOCK_LEVELS leaves each row is in
+        subtree_end = np.searchsorted(
+            home, ((home >> _TREE_BLOCK_LEVELS) + 1) << _TREE_BLOCK_LEVELS)
         # Seeding from 2k points instead of k gives a bound close enough to
         # the true k-th distance to cut the scan to a few k points per row.
         width = min(n, max(2 * k, int(self._leaf_size.max())))
         window = np.clip(self._leaf_start + self._leaf_size // 2 - width // 2, 0, n - width)
         start = 0
         while start < m:
-            sel = order[start:start + min(_TREE_BLOCK_ROWS, max(1, cap // width))]
+            stop = min(start + min(_TREE_BLOCK_ROWS, max(1, cap // width)), subtree_end[start])
+            sel = order[start:stop]
             q = rows[sel]
             b = len(sel)
-            seed = self._distances(q, window[home[sel]][:, None] + np.arange(width),
+            seed = self._distances(q, window[home[start:stop]][:, None] + np.arange(width),
                                    _view(dist_buf, b, width), _view(work_buf, b, width))
             seed.partition(k - 1, axis=1)
             bound = seed[:, k - 1].copy()

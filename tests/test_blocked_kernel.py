@@ -28,13 +28,16 @@ unsampled rows, and queries that copy unsampled rows. With the sample
 partitioned at k - 2 instead of k - 1, the tie-split family fails.
 
 ``KdTreeIndex.query`` is checked the same way on trees with two or more
-levels (n from 17 to 300), with the tree's query-block row count and its
-per-block buffer cap patched so that m crosses several blocks and blocks
-give up rows to fit. The kd build itself is checked array by array
-against a row-major reference build kept in this file, and the invariant
-its pruning rests on directly: no leaf's box bound exceeds the computed
-distance of any point in the leaf, also where squares underflow or
-overflow.
+levels (n from 17 to 300), with the tree's query-block row count, its
+subtree levels and its per-block buffer cap patched so that m crosses
+several blocks, blocks end at every leaf's edge or at no subtree's edge,
+and blocks give up rows to fit. On a 2-d clustered tree of 2^11 leaves,
+every block's rows must share one subtree of 2^_TREE_BLOCK_LEVELS leaves,
+and the blocks together must take the rows in home-leaf order. The kd
+build itself is checked array by array against a row-major reference
+build kept in this file, and the invariant its pruning rests on
+directly: no leaf's box bound exceeds the computed distance of any point
+in the leaf, also where squares underflow or overflow.
 
 Both backends hand their candidate blocks to one ranker, which ranks
 consecutive blocks as one group. With its group size patched so that
@@ -343,6 +346,9 @@ def test_blocked_hamming_kernel_equals_per_row_scan(case):
 
 
 SCALES = (1.0, 0.37, 1e-308, 5e-324, 1e200, 1.5e307)
+# kd blocks end at subtrees of 2^levels leaves: 0 leaves blocks of one or two
+# rows, and 16 is at least the depth of every tree drawn here, so cuts nothing
+TREE_LEVELS = (0, 1, 2, 16)
 
 
 @st.composite
@@ -369,22 +375,49 @@ def tree_cases(draw, scales=SCALES):
 
 @pytest.mark.parametrize("metric", NUMERIC_METRICS)
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(case=tree_cases())
-def test_multi_level_kd_tree_equals_per_row_scan(case, metric):
+@given(case=tree_cases(), levels=st.sampled_from(TREE_LEVELS))
+def test_multi_level_kd_tree_equals_per_row_scan(case, levels, metric):
     points, queries, k, rows, block_bytes = case
     tree = KdTreeIndex(points, metric)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(neighbors, "_TREE_BLOCK_ROWS", rows)
+        mp.setattr(neighbors, "_TREE_BLOCK_LEVELS", levels)
         mp.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
         result = tree.query(queries, k)
     _assert_equals_per_row_oracle(result, BruteForceIndex(points, metric), queries, k)
 
 
-def _ranked_rows(index, queries, k, block, tree_rows, rank_entries):
+def test_kd_blocks_stay_inside_one_subtree():
+    # 20000 clustered 2-d points make 2^11 leaves, 8 subtrees of 2^8; rows
+    # sorted by home leaf and taken 32 at a time straddle their edges
+    rng = np.random.default_rng(22)
+    centers = rng.uniform(-20.0, 20.0, size=(3, 2))
+    points = centers[rng.integers(0, 3, 20_000)] + rng.normal(0.0, 3.0, size=(20_000, 2))
+    queries = centers[rng.integers(0, 3, 2000)] + rng.normal(0.0, 3.0, size=(2000, 2))
+    tree, levels = KdTreeIndex(points, DistanceMetric.EUCLIDEAN), neighbors._TREE_BLOCK_LEVELS
+    assert tree._depth >= levels + 2
+    blocks, unrecorded = [], KdTreeIndex._blocks
+
+    def recorded(self, *args):
+        for block in unrecorded(self, *args):
+            blocks.append(block[0])
+            yield block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KdTreeIndex, "_blocks", recorded)
+        tree.query(queries, 10)
+    home = tree._home_leaves(queries)
+    for sel in blocks:
+        assert np.unique(home[sel] >> levels).size == 1
+    assert np.concatenate(blocks).tobytes() == np.argsort(home, kind="stable").tobytes()
+
+
+def _ranked_rows(index, queries, k, block, tree_rows, tree_levels, rank_entries):
     """``index.query`` with B = ``block`` brute-force rows per block, the
-    kd-tree's block rows and buffer cap patched small, and candidate blocks
-    grouped by ``rank_entries``; and the query-row count of each group that
-    ``_rank`` ranks (the exact loop, which passes no ids, is left out)."""
+    kd-tree's block rows, subtree levels and buffer cap patched small, and
+    candidate blocks grouped by ``rank_entries``; and the query-row count of
+    each group that ``_rank`` ranks (the exact loop, which passes no ids, is
+    left out)."""
     rows = []
     nearest_k = neighbors._nearest_k
 
@@ -397,6 +430,7 @@ def _ranked_rows(index, queries, k, block, tree_rows, rank_entries):
         mp.setattr(neighbors, "_nearest_k", recorded)
         mp.setattr(neighbors, "_RANK_ENTRIES", rank_entries)
         mp.setattr(neighbors, "_TREE_BLOCK_ROWS", tree_rows)
+        mp.setattr(neighbors, "_TREE_BLOCK_LEVELS", tree_levels)
         return _query_blocked(index, queries, k, block), rows
 
 
@@ -414,14 +448,16 @@ def test_grouped_ranking_equals_per_row_scan_on_both_backends(family, rank_entri
         points, queries, k, _, stride = data.draw(hostile_cases(family))
         metric = DistanceMetric.EUCLIDEAN
     block, tree_rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+    tree_levels = data.draw(st.sampled_from(TREE_LEVELS))
     brute, tree = BruteForceIndex(points, metric), KdTreeIndex(points, metric)
     with pytest.MonkeyPatch.context() as mp:
         if stride is not None:
             mp.setattr(neighbors, "_SAMPLE_STRIDE", stride)
             mp.setattr(neighbors, "_SAMPLE_COLUMNS_PER_K", 1)
-        result, brute_rows = _ranked_rows(brute, queries, k, block, tree_rows, rank_entries)
+        result, brute_rows = _ranked_rows(brute, queries, k, block, tree_rows, tree_levels,
+                                          rank_entries)
         tree_result, tree_rows_ranked = _ranked_rows(tree, queries, k, block, tree_rows,
-                                                     rank_entries)
+                                                     tree_levels, rank_entries)
     if rank_entries == 1:
         assert max(brute_rows, default=0) <= block and max(tree_rows_ranked) <= tree_rows
     else:
