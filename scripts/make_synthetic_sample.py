@@ -2,7 +2,9 @@
 
 200 rows, 3 numeric features uniform on [0, 10), target linear in the
 features plus gaussian noise. The seed is fixed; the committed CSV is the
-canonical copy and this script only exists to document how it was made.
+canonical copy, and CI checks that this script rewrites it byte for byte:
+
+    PYTHONPATH=src python scripts/make_synthetic_sample.py && git diff --exit-code data/synthetic.csv
 """
 
 from pathlib import Path

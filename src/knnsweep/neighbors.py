@@ -123,36 +123,31 @@ def _nearest_k(dist, k, work, keep, ids=None):
     of the (b, c) matrix ``dist`` in (distance, training-row index) order.
 
     ``ids[i, c]`` is the training row behind ``dist[i, c]`` (default: the
-    column c). Every entry at or below its row's k-th smallest value is a
-    candidate, so at k = c every entry is; sorting them on (row, distance,
-    training row) and taking the first k of each row is that order. When no
-    row ties its k-th value, every row keeps exactly k candidates, and each
-    row is sorted on its own, on distance alone unless two of a row's k
-    sorted distances are equal: without such a pair the order is unique.
+    column c). Every entry at or below its row's k-th smallest value is
+    kept (at k = c, every entry) as one complex key: the distance is its
+    real part and the training row its imaginary part, both assigned, so
+    no distance bit changes. numpy orders complex numbers by real, then
+    imaginary part, so one sort per row gives the (distance, training row)
+    order. Where a row ties its k-th value and keeps more than k, every
+    row is padded with complex(inf, inf), which sorts after any kept key.
     ``work`` and the bool ``keep`` are scratch shaped like ``dist``.
     """
     b, c = dist.shape
     np.copyto(work, dist)
+    # The floats are partitioned, not the keys: partitioning and sorting keys of
+    # every entry was 1.8x slower at (32, 300), k 76 and 9x at (6, 20000), k 10.
     work.partition(k - 1, axis=1)
     np.less_equal(dist, work[:, k - 1:k], out=keep)
     flat = np.flatnonzero(keep)
-    cand = np.take(dist, flat)
-    index = flat % c if ids is None else np.take(ids, flat)
-    # Without this per-row sort, sweep_kd_d3 job_s was slower in 5 of 5 alternating bench pairs.
-    if flat.size == b * k:
-        cand, index = cand.reshape(b, k), index.reshape(b, k)
-        # at (32, 76) argsort took 29 us and the two-key lexsort 119 us
-        order = np.argsort(cand, axis=1)
-        ranked = np.take_along_axis(cand, order, 1)
-        if (ranked[:, 1:] == ranked[:, :-1]).any():
-            order = np.lexsort((index, cand), axis=1)
-            ranked = np.take_along_axis(cand, order, 1)
-        return np.take_along_axis(index, order, 1), ranked
-    row = flat // c
-    order = np.lexsort((index, cand, row))
-    counts = np.bincount(row, minlength=b)
-    take = order[((np.cumsum(counts) - counts)[:, None] + np.arange(k)).ravel()]
-    return index[take].reshape(b, k), cand[take].reshape(b, k)
+    key = np.take(dist, flat).astype(complex)
+    key.imag = flat % c if ids is None else np.take(ids, flat)
+    if flat.size > b * k:
+        counts = np.count_nonzero(keep, axis=1)
+        padded = np.full((b, counts.max()), complex(np.inf, np.inf))
+        padded[np.arange(padded.shape[1]) < counts[:, None]] = key
+        key = padded
+    top = np.sort(key.reshape(b, -1), axis=1)[:, :k]
+    return top.imag.astype(np.int64), top.real
 
 
 def _box_bounds(lo, hi, q_lo, q_hi, metric):
@@ -214,20 +209,19 @@ class _IndexBase:
     """Shared query plumbing. Each backend implements
     ``_search_rows(rows, k, indices, distances)``, which fills the (m, k)
     indices and internal distances for the (m, d) query ``rows``, with
-    k <= n. ``_columns`` holds the points column-major, then a +inf
-    sentinel point at column n whose distance to every query is inf;
+    k <= n. ``_columns`` holds a (d, n) copy of the points, column-major;
     ``_ids`` maps a column to its training row (None: itself)."""
 
     _ids = None
 
     def __init__(self, points: np.ndarray, metric: DistanceMetric):
         self.metric = metric
-        self._columns = np.full((points.shape[1], points.shape[0] + 1), np.inf)
-        self._columns[:, :-1] = points.T
+        # a copy, always: at d = 1 points.T is already C-ordered, and the kd build reorders in place
+        self._columns = np.array(points.T, order="C")
 
     @property
     def n_points(self) -> int:
-        return self._columns.shape[1] - 1
+        return self._columns.shape[1]
 
     @property
     def dim(self) -> int:
@@ -274,7 +268,7 @@ class _IndexBase:
         next counts[1] from q[1], and so on. ``work`` is scratch like ``dist``."""
         # None broadcasts, not gathers: 0.28 s against 0.50 s on 20000 x 8 manhattan.
         # mode="clip" writes straight into ``out``; every position is valid
-        columns = self._columns[:, :-1] if positions is None else (
+        columns = self._columns if positions is None else (
             np.take(column, positions, out=work, mode="clip") for column in self._columns)
         coords = (q[:, j:j + 1] if counts is None else np.repeat(q[:, j], counts)
                   for j in range(self.dim))
@@ -331,8 +325,8 @@ class BruteForceIndex(_IndexBase):
     each group of blocks that ``_rank`` packs into the three buffers and
     an intp buffer. The per-row scan ``_search``
     stays as the reference, and every answer is bit-identical to it. Like
-    the kd-tree, the index holds the sentinel-padded (d, n + 1) array;
-    the euclidean filter adds the column means mu and one n-vector.
+    the kd-tree, the index holds the points as one (d, n) array; the
+    euclidean filter adds the column means mu and one n-vector.
 
     Euclidean rows are filtered, then verified. At build, per training row
     x, s = fl(|fl(x - mu)|^2) is kept as fl(s (1 - c)). Only the query is
@@ -427,7 +421,7 @@ class BruteForceIndex(_IndexBase):
     def _search(self, q, k):
         """The k nearest rows to one query ``q`` by the scalar distance."""
         rank = _RANKED[self.metric]
-        internal = np.array([rank(point, q) for point in self._columns[:, :-1].T], dtype=np.float64)
+        internal = np.array([rank(point, q) for point in self._columns.T], dtype=np.float64)
         order = np.argsort(internal, kind="stable")[:k].astype(np.int64)
         return order, internal[order]
 
@@ -465,7 +459,7 @@ class BruteForceIndex(_IndexBase):
         lhs, approx = -2.0 * centered[sel], _view(acc, b, n)
         step = max(1, _PRODUCT_SIZE // (b * self.dim))
         for s in range(0, n, step):
-            np.matmul(lhs, self._columns[:, s:min(s + step, n)], out=approx[:, s:s + step])
+            np.matmul(lhs, self._columns[:, s:s + step], out=approx[:, s:s + step])
         approx += self._norms
         sample = approx[:, ::stride]
         work = _view(scratch, b, sample.shape[1])
@@ -481,12 +475,11 @@ class BruteForceIndex(_IndexBase):
 class KdTreeIndex(_IndexBase):
     """Exact kd-tree in flat arrays, searched a block of queries at a time.
 
-    Build: in the (d, n + 1) array that both backends hold, the points
-    column-major followed by the +inf sentinel point. Level by level,
-    every node splits its contiguous range of columns in two with
-    ``argpartition`` on its widest-spread axis, until each of the 2^D
-    leaves holds at most _LEAF_SIZE points; a node one point short of the
-    level's widest is padded with the sentinel, which partitions into the
+    Build: in the (d, n) column-major array that both backends hold.
+    Level by level, every node splits its contiguous range of columns in
+    two with ``argpartition`` on its widest-spread axis, until each of the
+    2^D leaves holds at most _LEAF_SIZE points; a node one point short of
+    the level's widest is padded with +inf, which partitions into the
     right half and is dropped there. Each level reorders the array in place
     by its local order, so at the end it holds the points in leaf order.
     Kept are that array, the training row behind each column, the per-node
@@ -542,38 +535,39 @@ class KdTreeIndex(_IndexBase):
         depth = 0
         while -(-n >> depth) > _LEAF_SIZE:  # ceil(n / 2^depth)
             depth += 1
-        real = self._columns[:, :n]
-        ids = np.arange(n + 1)
+        columns = self._columns
+        ids = np.arange(n)
         sizes = np.array([n])
         axes, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for _ in range(depth):
             # Sizes at one level differ by at most 1, so the nodes fit one
-            # (nodes, widest) matrix; a short node's last slot is the sentinel.
+            # (nodes, widest) matrix; a short node's last slot is the +inf pad, column n.
             starts = np.cumsum(sizes) - sizes
             with np.errstate(over="ignore"):  # a spread past float range is inf, still the widest
-                axis = np.argmax(np.maximum.reduceat(real, starts, axis=1)
-                                 - np.minimum.reduceat(real, starts, axis=1), axis=0)
+                axis = np.argmax(np.maximum.reduceat(columns, starts, axis=1)
+                                 - np.minimum.reduceat(columns, starts, axis=1), axis=0)
             width = int(sizes.max())
             half = width // 2
             src = starts[:, None] + np.arange(width)  # column of each slot
             src[sizes < width, -1] = n
-            vals = np.take(self._columns, axis[:, None] * (n + 1) + src)
+            vals = np.take(columns, axis[:, None] * n + src, mode="clip")
+            vals[sizes < width, -1] = np.inf
             part = np.argpartition(vals, half, axis=1)
             part += np.arange(0, part.size, width)[:, None]
             axes.append(axis)
             values.append(np.take(vals, part[:, half]))
             src = np.take(src, part)
             src = src[src < n]
-            for row in real:  # 1-d takes; take(axis=1) copies item by item, ~4x slower
+            for row in columns:  # 1-d takes; take(axis=1) copies item by item, ~4x slower
                 row[:] = np.take(row, src)
-            ids[:n] = np.take(ids, src)
+            ids = np.take(ids, src)
             sizes = np.column_stack([np.full(len(sizes), half), sizes - half]).ravel()
         starts = np.cumsum(sizes) - sizes
         self._depth = depth
         self._split_axis, self._split_value = np.concatenate(axes), np.concatenate(values)
         self._leaf_start, self._leaf_size = starts, sizes
-        self._lo = np.minimum.reduceat(real, starts, axis=1)
-        self._hi = np.maximum.reduceat(real, starts, axis=1)
+        self._lo = np.minimum.reduceat(columns, starts, axis=1)
+        self._hi = np.maximum.reduceat(columns, starts, axis=1)
         self._ids = ids
 
     def _home_leaves(self, rows):

@@ -8,7 +8,7 @@ for euclidean and manhattan, the kd-tree. Inputs come from small grids so
 that duplicated rows and mass distance ties occur, mixed with arbitrary
 floats whose sums round, along with n = 1, k = n, subnormal coordinates,
 squared distances that all overflow to inf, a 1.5e307 scale at which
-manhattan distances overflow to inf and tie the sentinel that pads
+manhattan distances overflow to inf and tie the inf that pads
 candidate rows, and hamming codes. Derandomized and capped at a few
 examples per case. The exact loop is checked to copy no training rows,
 and the euclidean index to hold one copy of its points and to keep its
@@ -41,19 +41,24 @@ in the leaf, also where squares underflow or overflow.
 
 Both backends hand their candidate blocks to one ranker, which ranks
 consecutive blocks as one group. With its group size patched so that
-every block is ranked alone, and so that all of a query's blocks are
-ranked as one group, the hostile families and the kd-tree cases must
-give the bytes of the per-row scan on both backends. A call count on
+every block is ranked alone, so that some groups are cut before a wide
+block, and so that all of a query's blocks are ranked as one group, the
+hostile families and the kd-tree cases must give the bytes of the
+per-row scan on both backends. On synthetic blocks, a group must be
+ranked as soon as it holds that size, and cut exactly where the next
+block would take it past four times that size. A call count on
 20000 x 8 keeps the filter's 6-row blocks from being ranked one by one.
 In the hostile-family test the filter's product runs in many column
 slices.
 
-The ranker's last step, ``_nearest_k``, sorts a row on distance alone
-when its k nearest distances are all different; on small matrices of
-four values (inf among them) with shuffled training rows it must give
-Python's sorted (distance, row) pairs, and without its two-key fallback
-it does not. The kd-tree drops candidates above their row's seed bound:
-on an integer grid, where points outside the seed window tie the k-th
+The ranker's last step, ``_nearest_k``, sorts each row on one complex
+key, the distance as real part and the training row as imaginary part;
+on small matrices of four values (inf among them), with shuffled
+training rows or the column as the row, it must give Python's sorted
+(distance, row) pairs, and with a zero imaginary part, or with the
+rows padded by complex(0, 0) where one ties its k-th value, it does
+not. The kd-tree drops candidates above their row's seed bound: on an
+integer grid, where points outside the seed window tie the k-th
 distance, the answers must stay those of the per-row scan while the cut
 drops candidates, and a strict ``<`` cut fails. A tracemalloc guard keeps
 the sweep-shape kd query (8000 x 3, k 76, 2000 rows) below 5 MiB.
@@ -166,7 +171,7 @@ def test_exact_loop_copies_no_training_rows(metric):
 
 
 def test_euclidean_index_holds_one_copy_of_its_points():
-    # the filter's product reads the shared (d, n + 1) column array in place;
+    # the filter's product reads the shared (d, n) column array in place;
     # the filter adds the column means and one n-vector, not a second copy
     n, d = 20_000, 8
     points = np.random.default_rng(6).normal(size=(n, d))
@@ -176,8 +181,8 @@ def test_euclidean_index_holds_one_copy_of_its_points():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert index._columns.nbytes == (n + 1) * d * 8
-    assert held < (n + 1) * d * 8 + 2 * n * 8
+    assert index._columns.nbytes == n * d * 8
+    assert held < n * d * 8 + 2 * n * 8
 
 
 def test_equal_roots_keep_their_squared_order():
@@ -434,13 +439,14 @@ def _ranked_rows(index, queries, k, block, tree_rows, tree_levels, rank_entries)
         return _query_blocked(index, queries, k, block), rows
 
 
-@pytest.mark.parametrize("rank_entries", [1, 2**30])
+@pytest.mark.parametrize("rank_entries", [1, 32, 2**30])
 @pytest.mark.parametrize("family", [*HOSTILE_FAMILIES, "tree"])
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_grouped_ranking_equals_per_row_scan_on_both_backends(family, rank_entries, data):
     # rank_entries 1 ranks every candidate block alone, 2^30 all of a
-    # query's blocks in one verify; the bytes must not depend on it
+    # query's blocks in one verify; at 32 some groups are cut before a wide
+    # block would take them past 128 entries; the bytes must not depend on it
     if family == "tree":
         points, queries, k = data.draw(tree_cases())[:3]
         metric, stride = data.draw(st.sampled_from(NUMERIC_METRICS)), None
@@ -460,7 +466,7 @@ def test_grouped_ranking_equals_per_row_scan_on_both_backends(family, rank_entri
                                                      tree_levels, rank_entries)
     if rank_entries == 1:
         assert max(brute_rows, default=0) <= block and max(tree_rows_ranked) <= tree_rows
-    else:
+    elif rank_entries == 2**30:
         assert len(brute_rows) <= 1 and tree_rows_ranked == [len(queries)]
     if family in FILTERED_FAMILIES:
         assert sum(brute_rows) == len(queries)
@@ -486,6 +492,25 @@ def test_brute_force_ranks_many_filter_blocks_per_verify():
         mp.setattr(neighbors, "_nearest_k", counted)
         index.query(queries, 10)
     assert sum(calls) == len(queries) and len(calls) <= 20
+
+
+def test_grouped_cuts_a_group_before_a_wide_block():
+    # a group is ranked once it holds _RANK_ENTRIES padded entries, or first,
+    # without the next block, when that block would take it past 4x that
+    cap = neighbors._RANK_ENTRIES
+
+    def split(*widths):  # one query row per block, row i as wide as widths[i]
+        blocks = [(np.array([i]), np.arange(w), np.array([w]), None) for i, w in enumerate(widths)]
+        return [(sel.tolist(), positions.size, counts.tolist())
+                for sel, positions, counts, _ in neighbors._grouped(blocks)]
+
+    # a group of exactly cap entries is ranked at once
+    assert split(cap, 10) == [([0], cap, [cap]), ([1], 10, [10])]
+    # 4 rows padded to cap fill exactly 4 cap and stay one group; padded to cap + 1 they do not
+    assert split(10, 10, 10, cap, 10) == [([0, 1, 2, 3], 30 + cap, [10, 10, 10, cap]),
+                                          ([4], 10, [10])]
+    assert split(10, 10, 10, cap + 1, 10) == [([0, 1, 2], 30, [10, 10, 10]),
+                                              ([3], cap + 1, [cap + 1]), ([4], 10, [10])]
 
 
 @pytest.mark.parametrize("metric", NUMERIC_METRICS)
@@ -544,13 +569,11 @@ def _per_level_reference_build(points):
         sizes = np.column_stack([np.full(len(sizes), half), sizes - half]).ravel()
     starts = np.cumsum(sizes) - sizes
     pts = points[perm]
-    columns = np.full((d, n + 1), np.inf)
-    columns[:, :n] = pts.T
     return dict(zip(TREE_ARRAYS, (
         np.concatenate(axes), np.concatenate(values), starts, sizes,
         np.ascontiguousarray(np.minimum.reduceat(pts, starts, axis=0).T),
         np.ascontiguousarray(np.maximum.reduceat(pts, starts, axis=0).T),
-        columns, np.append(perm, n))))
+        np.ascontiguousarray(pts.T), perm)))
 
 
 @st.composite
@@ -606,16 +629,19 @@ def test_kd_build_equals_the_per_level_reference(points):
 @given(data=st.data())
 def test_nearest_k_breaks_every_tie_on_the_training_row(data):
     # four values, one of them inf, so that ties inside the kept k and at the
-    # k-th value are common; ids are shuffled, so column order is not id order
+    # k-th value, which pad the other rows, are common; ids are shuffled, so
+    # column order is not id order, or None, the exact loop's column order
     b, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 9))
     k = data.draw(st.integers(1, c))
     dist = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, np.inf]),
                                        min_size=b * c, max_size=b * c))).reshape(b, c)
-    ids = np.array(data.draw(st.permutations(range(b * c))), dtype=np.intp).reshape(b, c)
+    ids = data.draw(st.none() | st.permutations(range(b * c)).map(
+        lambda p: np.array(p, dtype=np.intp).reshape(b, c)))
     indices, distances = neighbors._nearest_k(dist, k, np.empty((b, c)),
                                               np.empty((b, c), dtype=bool), ids)
     for i in range(b):
-        expected = sorted(zip(dist[i].tolist(), ids[i].tolist()))[:k]
+        rows = range(c) if ids is None else ids[i].tolist()
+        expected = sorted(zip(dist[i].tolist(), rows))[:k]
         assert list(zip(distances[i].tolist(), indices[i].tolist())) == expected
 
 
