@@ -36,6 +36,10 @@ from .dataset import ColumnKind, Dataset
 from .distance import DistanceMetric, hamming, manhattan, squared_euclidean
 
 _LEAF_SIZE = 16
+# The kd build also stops at this depth: every query block bounds every leaf's box, so
+# large training sets get larger leaves. 100000 x 2, k 10: build and query took 83, 67,
+# 66, 68 and 88 ms at depth 8-11 and uncapped (13); up to 2^14 rows never reach it.
+_TREE_MAX_DEPTH = 10
 # Byte cap on each (block x n) buffer of the blocked brute-force kernel;
 # the kd-tree caps each of its per-block buffers at a quarter of it.
 # Both reuse them per call: per-block buffers raised predict_brute_d8 peak_rss_mb 1.4-1.7 MiB.
@@ -50,12 +54,12 @@ _SAMPLE_STRIDE = 4
 _SAMPLE_COLUMNS_PER_K = 64
 # Query rows the kd-tree searches together. Rows are sorted by home leaf,
 # so a small block stays spatially compact and its leaf filter stays tight.
-# 8000 x 3, k 76: 16, 32 and 64 rows took 59, 51 and 60 ms (100000 x 2, k 10: 37, 38, 52 ms).
+# 8000 x 3, k 76: 16, 32, 64 rows took 65, 49, 58 ms (100000 x 2, k 10: 29, 20, 16 ms).
 _TREE_BLOCK_ROWS = 32
 # A block also ends where its rows leave one subtree of 2^this leaves, so it never
-# straddles a higher split and keeps leaves on both sides. density_kd_d2's query
-# (100000 x 2, k 10): 6, 7, 8, 9 and no cut took 49, 44, 44, 44, 55 ms, 4 took 112 ms
-# (uniform 100000 x 2: 49, 41, 37, 40, 42 ms); sweep_kd_d3's (8000 x 3, k 76) stays flat.
+# straddles a higher split and keeps leaves on both sides. 60 paired queries with no cut
+# took 2.9% longer at 100000 x 2, k 10 (1024 leaves; 2 of 3 seeds), 2.8-7.0% at normal
+# 20000 x 3, k 10; 6-9 timed alike; sweep_kd_d3's (8000 x 3, k 76) stays flat.
 _TREE_BLOCK_LEVELS = 8
 # Consecutive candidate blocks are ranked together once their padded
 # matrix holds this many entries, never past 4x it unless one block alone is.
@@ -477,10 +481,10 @@ class KdTreeIndex(_IndexBase):
 
     Build: in the (d, n) column-major array that both backends hold.
     Level by level, every node splits its contiguous range of columns in
-    two with ``argpartition`` on its widest-spread axis, until each of the
-    2^D leaves holds at most _LEAF_SIZE points; a node one point short of
-    the level's widest is padded with +inf, which partitions into the
-    right half and is dropped there. Each level reorders the array in place
+    two with ``argpartition`` on its widest-spread axis, until the 2^D leaves
+    hold at most _LEAF_SIZE points or D is _TREE_MAX_DEPTH; a node one point
+    short of the level's widest is padded with +inf, which partitions into
+    the right half and is dropped there. Each level reorders the array in place
     by its local order, so at the end it holds the points in leaf order.
     Kept are that array, the training row behind each column, the per-node
     split (axis, value) in heap order, the per-leaf bounding boxes
@@ -520,8 +524,7 @@ class KdTreeIndex(_IndexBase):
     scans exactly the leaves whose point-to-box bound is within its seed
     bound, as step 2 keeps every such leaf (the block's query box holds
     the query, and the block's largest seed bound is at or above its own).
-    At 8000 x 3 and k 76, a query row scans about 470
-    points, 190 of them at or below its seed bound.
+    At 8000 x 3 and k 76, a query scans about 470 points and ranks 190.
     Each per-block buffer, the block's padded candidate matrix included,
     is capped at _BLOCK_BYTES // 4 bytes: a block gives up rows until its
     buffers fit, keeping at least one row. ``_rank`` ranks groups of
@@ -531,13 +534,10 @@ class KdTreeIndex(_IndexBase):
 
     def __init__(self, points, metric):
         super().__init__(points, metric)
-        n = self.n_points
-        depth = 0
-        while -(-n >> depth) > _LEAF_SIZE:  # ceil(n / 2^depth)
+        n, depth = self.n_points, 0
+        while -(-n >> depth) > _LEAF_SIZE and depth < _TREE_MAX_DEPTH:  # ceil(n / 2^depth)
             depth += 1
-        columns = self._columns
-        ids = np.arange(n)
-        sizes = np.array([n])
+        columns, ids, sizes = self._columns, np.arange(n), np.array([n])
         axes, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for _ in range(depth):
             # Sizes at one level differ by at most 1, so the nodes fit one

@@ -31,13 +31,19 @@ partitioned at k - 2 instead of k - 1, the tie-split family fails.
 levels (n from 17 to 300), with the tree's query-block row count, its
 subtree levels and its per-block buffer cap patched so that m crosses
 several blocks, blocks end at every leaf's edge or at no subtree's edge,
-and blocks give up rows to fit. On a 2-d clustered tree of 2^11 leaves,
-every block's rows must share one subtree of 2^_TREE_BLOCK_LEVELS leaves,
-and the blocks together must take the rows in home-leaf order. The kd
-build itself is checked array by array against a row-major reference
-build kept in this file, and the invariant its pruning rests on
-directly: no leaf's box bound exceeds the computed distance of any point
-in the leaf, also where squares underflow or overflow.
+and blocks give up rows to fit. The build's depth cap is patched to 0, 1
+or 2 levels too, so that leaves hold far more than _LEAF_SIZE points, as
+they do past 2^14 rows. On a 2-d clustered tree of 2^10 leaves, every
+block's rows must share one subtree of 2^_TREE_BLOCK_LEVELS leaves, and
+the blocks together must take the rows in home-leaf order. The kd build
+itself is checked array by array against a row-major reference build
+kept in this file, at every depth cap, and the invariant its pruning
+rests on directly: no leaf's box bound exceeds the computed distance of
+any point in the leaf, also where squares underflow or overflow. At the
+density job's shape (100000 x 2, k 10) the default tree must have 2^10
+leaves, equal brute force byte for byte and peak below 1.5 MiB per
+query; trees of up to 2^14 rows, the sweep's 8000 among them, must be
+the ones an uncapped build makes, array for array.
 
 Both backends hand their candidate blocks to one ranker, which ranks
 consecutive blocks as one group. With its group size patched so that
@@ -354,14 +360,24 @@ SCALES = (1.0, 0.37, 1e-308, 5e-324, 1e200, 1.5e307)
 # kd blocks end at subtrees of 2^levels leaves: 0 leaves blocks of one or two
 # rows, and 16 is at least the depth of every tree drawn here, so cuts nothing
 TREE_LEVELS = (0, 1, 2, 16)
+# kd build depth caps: 0 makes one leaf of every point, 1 and 2 leaves of up to
+# 150 and 75 points; no tree drawn here reaches the default
+TREE_DEPTHS = (0, 1, 2, neighbors._TREE_MAX_DEPTH)
+
+
+def _capped_tree(points, metric, depth):
+    """A kd-tree built with its depth cap patched to ``depth``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_TREE_MAX_DEPTH", depth)
+        return KdTreeIndex(points, metric)
 
 
 @st.composite
 def tree_cases(draw, scales=SCALES):
     """(training points, query rows, k, rows per block, block bytes) for a
-    kd-tree of two or more levels: grid rows with duplicates and mass ties,
-    some arbitrary normal rows, and queries that copy training rows, all
-    multiplied by one of ``scales``."""
+    kd-tree of two or more levels unless its depth is capped: grid rows
+    with duplicates and mass ties, some arbitrary normal rows, and queries
+    that copy training rows, all multiplied by one of ``scales``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 3))
     n = draw(st.integers(17, 300))
@@ -380,10 +396,11 @@ def tree_cases(draw, scales=SCALES):
 
 @pytest.mark.parametrize("metric", NUMERIC_METRICS)
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(case=tree_cases(), levels=st.sampled_from(TREE_LEVELS))
-def test_multi_level_kd_tree_equals_per_row_scan(case, levels, metric):
+@given(case=tree_cases(), levels=st.sampled_from(TREE_LEVELS),
+       depth=st.sampled_from(TREE_DEPTHS))
+def test_multi_level_kd_tree_equals_per_row_scan(case, levels, depth, metric):
     points, queries, k, rows, block_bytes = case
-    tree = KdTreeIndex(points, metric)
+    tree = _capped_tree(points, metric, depth)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(neighbors, "_TREE_BLOCK_ROWS", rows)
         mp.setattr(neighbors, "_TREE_BLOCK_LEVELS", levels)
@@ -393,7 +410,7 @@ def test_multi_level_kd_tree_equals_per_row_scan(case, levels, metric):
 
 
 def test_kd_blocks_stay_inside_one_subtree():
-    # 20000 clustered 2-d points make 2^11 leaves, 8 subtrees of 2^8; rows
+    # 20000 clustered 2-d points make 2^10 leaves, 4 subtrees of 2^8; rows
     # sorted by home leaf and taken 32 at a time straddle their edges
     rng = np.random.default_rng(22)
     centers = rng.uniform(-20.0, 20.0, size=(3, 2))
@@ -455,7 +472,8 @@ def test_grouped_ranking_equals_per_row_scan_on_both_backends(family, rank_entri
         metric = DistanceMetric.EUCLIDEAN
     block, tree_rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
     tree_levels = data.draw(st.sampled_from(TREE_LEVELS))
-    brute, tree = BruteForceIndex(points, metric), KdTreeIndex(points, metric)
+    brute = BruteForceIndex(points, metric)
+    tree = _capped_tree(points, metric, data.draw(st.sampled_from(TREE_DEPTHS)))
     with pytest.MonkeyPatch.context() as mp:
         if stride is not None:
             mp.setattr(neighbors, "_SAMPLE_STRIDE", stride)
@@ -521,7 +539,7 @@ def test_box_bound_never_exceeds_a_distance_in_the_box(data, scale, metric):
     # the kd-tree prunes by this invariant; at 1e200 and 1.5e307 squares
     # and sums overflow to inf, at 5e-324 squares underflow to 0
     points, queries = data.draw(tree_cases(scales=(scale,)))[:2]
-    tree = KdTreeIndex(points, metric)
+    tree = _capped_tree(points, metric, data.draw(st.sampled_from(TREE_DEPTHS)))
     n, m = len(points), len(queries)
     leaf = np.repeat(np.arange(len(tree._leaf_size)), tree._leaf_size)  # of each column
     with np.errstate(over="ignore"):
@@ -537,13 +555,14 @@ TREE_ARRAYS = ("_split_axis", "_split_value", "_leaf_start", "_leaf_size",
                "_lo", "_hi", "_columns", "_ids")
 
 
-def _per_level_reference_build(points):
+def _per_level_reference_build(points, max_depth):
     """Reference kd build, row-major: every level gathers all rows again
     through the global permutation and pads short nodes with a masked
-    +inf; the kd build must give the same tree."""
+    +inf; the kd build, with its depth cap at ``max_depth``, must give
+    the same tree."""
     n, d = points.shape
     depth = 0
-    while -(-n >> depth) > neighbors._LEAF_SIZE:
+    while -(-n >> depth) > neighbors._LEAF_SIZE and depth < max_depth:
         depth += 1
     perm = np.arange(n)
     sizes = np.array([n])
@@ -599,15 +618,16 @@ def build_cases(draw):
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(points=build_cases())
-@example(points=np.zeros((1, 1)))
+@given(points=build_cases(), depth=st.sampled_from(TREE_DEPTHS))
+@example(points=np.zeros((1, 1)), depth=neighbors._TREE_MAX_DEPTH)
 # A leaf whose lowest value in a coordinate is both 0.0 and -0.0: the builds differ there.
 @example(points=np.array([[1, 0], [1, 0], [1, -0.0], [-1, 1], [-2, -0.0], [-0.0, -1],
                           [1, -0.0], [-0.0, 1], [-0.0, 1], [0, -0.0], [-2, -1], [1, -0.0],
-                          [-0.0, 2], [-1, -1], [-0.0, 1], [-1, -1], [-2, 1]]) * 5e-324)
-def test_kd_build_equals_the_per_level_reference(points):
-    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN)
-    reference = _per_level_reference_build(points)
+                          [-0.0, 2], [-1, -1], [-0.0, 1], [-1, -1], [-2, 1]]) * 5e-324,
+         depth=neighbors._TREE_MAX_DEPTH)
+def test_kd_build_equals_the_per_level_reference(points, depth):
+    tree = _capped_tree(points, DistanceMetric.EUCLIDEAN, depth)
+    reference = _per_level_reference_build(points, depth)
     for name, expected in reference.items():
         built = getattr(tree, name)
         assert (name, built.dtype, built.shape) == (name, expected.dtype, expected.shape)
@@ -650,31 +670,37 @@ def test_seed_bound_cut_keeps_every_point_that_ties_the_kth_distance(metric):
     # Every point of a 24 x 24 integer grid, twice, in shuffled order: many
     # points tie the k-th distance, about half of them outside the query's
     # seed window (in 507 of the 544 euclidean (query, k) cases, at least
-    # one). The kd-tree drops each candidate above its row's seed bound;
-    # every point on the bound must stay.
+    # one, on the default tree). The kd-tree drops each candidate above its
+    # row's seed bound; every point on the bound must stay, at every depth cap.
     grid = np.array([(x, y) for x in range(24) for y in range(24)], dtype=float)
     points = np.repeat(grid, 2, axis=0)[np.random.default_rng(20).permutation(2 * len(grid))]
     queries = np.vstack([grid[::7], grid[::11] + 0.5])
-    tree, brute = KdTreeIndex(points, metric), BruteForceIndex(points, metric)
-    scanned, ranked = [], []
-    candidates, nearest_k = KdTreeIndex._candidates, neighbors._nearest_k
-
-    def counted_scan(self, *args):
-        positions = candidates(self, *args)
-        scanned.append(positions.size)
-        return positions
-
-    def counted_rank(dist, k, work, keep, ids=None):
-        ranked.append(int(np.count_nonzero(ids < len(points))))  # real points, not pads
-        return nearest_k(dist, k, work, keep, ids)
-
-    for k in (3, 10, 26, 49):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(KdTreeIndex, "_candidates", counted_scan)
-            mp.setattr(neighbors, "_nearest_k", counted_rank)
-            result = tree.query(queries, k)
+    brute = BruteForceIndex(points, metric)
+    expected = {k: brute.query(queries, k) for k in (3, 10, 26, 49)}
+    for k, result in expected.items():  # brute force, held to the slow per-row scan once
         _assert_equals_per_row_oracle(result, brute, queries, k)
-    assert sum(ranked) < sum(scanned)
+    candidates, nearest_k = KdTreeIndex._candidates, neighbors._nearest_k
+    for depth in TREE_DEPTHS:
+        tree = _capped_tree(points, metric, depth)
+        scanned, ranked = [], []
+
+        def counted_scan(self, *args):
+            positions = candidates(self, *args)
+            scanned.append(positions.size)
+            return positions
+
+        def counted_rank(dist, k, work, keep, ids=None):
+            ranked.append(int(np.count_nonzero(ids < len(points))))  # real points, not pads
+            return nearest_k(dist, k, work, keep, ids)
+
+        for k, reference in expected.items():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(KdTreeIndex, "_candidates", counted_scan)
+                mp.setattr(neighbors, "_nearest_k", counted_rank)
+                result = tree.query(queries, k)
+            assert result.indices.tobytes() == reference.indices.tobytes()
+            assert result.distances.tobytes() == reference.distances.tobytes()
+        assert sum(ranked) < sum(scanned)
 
 
 def test_kd_query_peaks_below_5_mib_at_the_sweep_shape():
@@ -690,3 +716,41 @@ def test_kd_query_peaks_below_5_mib_at_the_sweep_shape():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def test_kd_tree_at_the_density_shape_has_2_to_the_10_leaves():
+    # density_kd_d2's shape: 100000 clustered 2-d rows, 60 of them 5 pool
+    # points repeated 12 times, and k 10, so queries on a pool point have
+    # radius 0. Split to 16-point leaves, the tree had 2^13 leaves and this
+    # query peaked at 1.8 MiB
+    rng = np.random.default_rng(23)
+    centers, pool = rng.uniform(-20.0, 20.0, size=(3, 2)), rng.uniform(-20.0, 20.0, size=(5, 2))
+    free = centers[rng.integers(0, 3, 99_940)] + rng.normal(0.0, 3.0, size=(99_940, 2))
+    points = np.concatenate([free, np.repeat(pool, 12, axis=0)])[rng.permutation(100_000)]
+    queries = centers[rng.integers(0, 3, 300)] + rng.normal(0.0, 3.0, size=(300, 2))
+    queries[:3] = pool[rng.integers(0, 5, 3)]
+    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN)
+    assert tree._depth == 10 and tree._leaf_size.size == 2**10
+    tracemalloc.start()
+    try:
+        result = tree.query(queries, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+    assert (result.distances[:3, -1] == 0.0).all()
+    brute = BruteForceIndex(points, DistanceMetric.EUCLIDEAN).query(queries, 10)
+    assert result.indices.tobytes() == brute.indices.tobytes()
+    assert result.distances.tobytes() == brute.distances.tobytes()
+
+
+@pytest.mark.parametrize("n", [8000, 16384])
+def test_kd_depth_cap_leaves_trees_of_up_to_2_to_the_14_rows_unchanged(n):
+    # the sweep's 8000 training rows make 2^9 leaves; 16384 rows split to
+    # 16-point leaves at exactly the cap
+    points = np.random.default_rng(21).uniform(0.0, 10.0, size=(n, 3))
+    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN)
+    uncapped = _capped_tree(points, DistanceMetric.EUCLIDEAN, 64)
+    assert tree._leaf_size.size == (2**9 if n == 8000 else 2**10)
+    for name in TREE_ARRAYS:
+        assert getattr(tree, name).tobytes() == getattr(uncapped, name).tobytes(), name
