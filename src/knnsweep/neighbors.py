@@ -54,7 +54,8 @@ _SAMPLE_STRIDE = 4
 _SAMPLE_COLUMNS_PER_K = 64
 # Query rows the kd-tree searches together. Rows are sorted by home leaf,
 # so a small block stays spatially compact and its leaf filter stays tight.
-# 8000 x 3, k 76: 16, 32, 64 rows took 65, 49, 58 ms (100000 x 2, k 10: 29, 20, 16 ms).
+# 16, 24, 32, 64 rows took 45, 41, 40, 42 ms at 8000 x 3, k 76; 23, 18, 17, 13 ms at
+# 100000 x 2, k 10; 16, 15, 15, 16 ms at normal 20000 x 3, k 10.
 _TREE_BLOCK_ROWS = 32
 # A block also ends where its rows leave one subtree of 2^this leaves, so it never
 # straddles a higher split and keeps leaves on both sides. 60 paired queries with no cut
@@ -154,21 +155,23 @@ def _nearest_k(dist, k, work, keep, ids=None):
     return top.imag.astype(np.int64), top.real
 
 
-def _box_bounds(lo, hi, q_lo, q_hi, metric):
+def _box_bounds(lo, hi, q_lo, q_hi, metric, dist=None, below=None, above=None):
     """(b, L) lower bounds on the internal distance from any query in the
     box [q_lo[i], q_hi[i]] to any point in the box [lo[:, l], hi[:, l]].
 
     ``lo``/``hi`` are (d, L) and ``q_lo``/``q_hi`` (b, d). Per coordinate
     the gap is max(lo - q_hi, q_lo - hi, 0), and ``_accumulate`` sums the
     gaps as it sums coordinate differences (see the module docstring).
+    The bounds fill ``dist``; ``below`` and ``above`` are (b, L) scratch.
+    Each is a new array where None.
     """
     def gap(j):  # in place: 200 KiB less peak on a 100000 x 2, k 10 query
-        below = lo[j] - q_hi[:, j:j + 1]
-        np.maximum(below, q_lo[:, j:j + 1] - hi[j], out=below)
-        return np.maximum(below, 0.0, out=below)
+        term = np.subtract(lo[j], q_hi[:, j:j + 1], out=below)
+        np.maximum(term, np.subtract(q_lo[:, j:j + 1], hi[j], out=above), out=term)
+        return np.maximum(term, 0.0, out=term)
 
-    return _accumulate(np.empty((q_lo.shape[0], lo.shape[1])), map(gap, range(lo.shape[0])),
-                       metric)
+    return _accumulate(np.empty((q_lo.shape[0], lo.shape[1])) if dist is None else dist,
+                       map(gap, range(lo.shape[0])), metric)
 
 
 def _grouped(blocks):
@@ -498,12 +501,15 @@ class KdTreeIndex(_IndexBase):
     early where the next row's home leaf leaves the subtree of
     2^_TREE_BLOCK_LEVELS leaves that holds its first row's: its rows then
     lie in that subtree's cell, so no block straddles a split above it and
-    keeps leaves on both of its sides in step 2. For each block of rows:
+    keeps leaves on both of its sides in step 2. Steps 1 and 2 run before
+    the block loop, each in a few large vectorized passes:
 
-    1. seed each query's bound with the k-th smallest distance to a window
-       of 2k real points (at least one leaf's worth) around its home leaf;
-    2. keep the leaves whose box-to-box bound from the block's query box
-       is ``<=`` the block's largest seed bound;
+    1. seed each query's bound with the k-th smallest distance to the first
+       max(2k, g s) real points (at most n, shifted left to end by the last)
+       of its home leaf's aligned subtree of g leaves: s is the smallest leaf
+       size, g the least power of two with g s >= 2k, at most the leaf count;
+    2. keep, per block, the leaves whose box-to-box bound from the block's
+       query box is ``<=`` the block's largest seed bound;
     3. take as candidates the points of every (query, leaf) pair whose
        point-to-box bound (Friedman, Bentley & Finkel, ACM TOMS 1977) is
        ``<=`` that query's seed bound;
@@ -524,12 +530,14 @@ class KdTreeIndex(_IndexBase):
     scans exactly the leaves whose point-to-box bound is within its seed
     bound, as step 2 keeps every such leaf (the block's query box holds
     the query, and the block's largest seed bound is at or above its own).
-    At 8000 x 3 and k 76, a query scans about 470 points and ranks 190.
+    At 8000 x 3 and k 76, a query scans about 415 points and ranks 150.
     Each per-block buffer, the block's padded candidate matrix included,
     is capped at _BLOCK_BYTES // 4 bytes: a block gives up rows until its
-    buffers fit, keeping at least one row. ``_rank`` ranks groups of
-    blocks in the seed buffers: a group holds at most 4 _RANK_ENTRIES
-    entries, half the default cap, unless one block alone holds more.
+    buffers fit, keeping at least one row; the rows it gives up keep its
+    leaves from step 2, a superset of their own, so step 3 is unchanged.
+    ``_rank`` ranks groups of blocks in the seed buffers: a group holds at
+    most 4 _RANK_ENTRIES entries, half the default cap, unless one block
+    alone holds more.
     """
 
     def __init__(self, points, metric):
@@ -582,7 +590,7 @@ class KdTreeIndex(_IndexBase):
     def _candidates(self, scan, live):
         """The leaf-order position of each point of each (row, scanned
         leaf) pair of ``scan``, in row order."""
-        leaf = live[np.nonzero(scan)[1]]
+        leaf = live[np.flatnonzero(scan) % live.size]  # 2-d nonzero: 22 against 8 us at (32, 160)
         size = self._leaf_size[leaf]
         first = np.cumsum(size) - size  # each pair's first slot in the flat list
         return np.repeat(self._leaf_start[leaf] - first, size) + np.arange(int(size.sum()))
@@ -598,38 +606,64 @@ class KdTreeIndex(_IndexBase):
         each block of query rows, seeded in ``dist_buf`` and ``work_buf``,
         whose size caps each block's buffers."""
         m, n, cap = rows.shape[0], self.n_points, dist_buf.size
+        if m == 0:  # reduceat takes no empty index list
+            return
         home = self._home_leaves(rows)
         order = np.argsort(home, kind="stable")
         home = home[order]
-        # the first sorted row past the subtree of 2^_TREE_BLOCK_LEVELS leaves each row is in
-        subtree_end = np.searchsorted(
-            home, ((home >> _TREE_BLOCK_LEVELS) + 1) << _TREE_BLOCK_LEVELS)
-        # Seeding from 2k points instead of k gives a bound close enough to
-        # the true k-th distance to cut the scan to a few k points per row.
-        width = min(n, max(2 * k, int(self._leaf_size.max())))
-        window = np.clip(self._leaf_start + self._leaf_size // 2 - width // 2, 0, n - width)
-        start = 0
-        while start < m:
-            stop = min(start + min(_TREE_BLOCK_ROWS, max(1, cap // width)), subtree_end[start])
-            sel = order[start:stop]
-            q = rows[sel]
-            b = len(sel)
-            seed = self._distances(q, window[home[start:stop]][:, None] + np.arange(width),
-                                   _view(dist_buf, b, width), _view(work_buf, b, width))
+        # 2k seed points bound the k-th distance closely enough to cut the scan to a few k
+        # points per row; the smallest aligned subtree that holds them keeps them in one cell.
+        leaves, least = self._leaf_size.size, int(self._leaf_size.min())
+        g = 1
+        while g * least < 2 * k and g < leaves:
+            g *= 2
+        width = min(n, max(2 * k, g * least))
+        window = np.minimum(self._leaf_start[home - home % g], n - width)
+        # The passes below fill dist_buf and, as scratch and seed positions, the halves of
+        # work_buf: allocated, their matrices took the sweep shape's peak from 3.7 to 4.2 MiB.
+        lower, upper = work_buf[:cap // 2], work_buf[cap // 2:]
+
+        def box_bounds(lo, hi, q_lo, q_hi):
+            shape = q_lo.shape[0], lo.shape[1]
+            return _box_bounds(lo, hi, q_lo, q_hi, self.metric,
+                               *(_view(buf, *shape) for buf in (dist_buf, lower, upper)))
+
+        bound = np.empty(m)
+        step = max(1, cap // 2 // width)
+        for s in range(0, m, step):
+            b = min(step, m - s)
+            positions = np.add(window[s:s + b, None], np.arange(width),
+                               out=_view(upper.view(np.intp), b, width))
+            seed = self._distances(rows[order[s:s + b]], positions, _view(dist_buf, b, width),
+                                   _view(lower, b, width))
             seed.partition(k - 1, axis=1)
-            bound = seed[:, k - 1].copy()
-            live = np.flatnonzero(_box_bounds(
-                self._lo, self._hi, q.min(0, keepdims=True), q.max(0, keepdims=True),
-                self.metric)[0] <= bound.max())
-            b = min(b, max(1, cap // len(live)))
-            q, bound = q[:b], bound[:b]
-            scan = _box_bounds(self._lo[:, live], self._hi[:, live], q, q,
-                               self.metric) <= bound[:, None]
-            counts = scan @ self._leaf_size[live]
-            fits = np.maximum.accumulate(counts) * np.arange(1, b + 1) <= cap
-            b = max(1, int(np.count_nonzero(fits)))
-            yield sel[:b], self._candidates(scan[:b], live), counts[:b], bound[:b]
-            start += b
+            bound[s:s + b] = seed[:, k - 1]
+        # A block takes up to _TREE_BLOCK_ROWS rows and ends where its rows leave one
+        # subtree of 2^_TREE_BLOCK_LEVELS leaves.
+        first = np.searchsorted(home, (home >> _TREE_BLOCK_LEVELS) << _TREE_BLOCK_LEVELS)
+        starts = np.flatnonzero((np.arange(m) - first) % _TREE_BLOCK_ROWS == 0)
+        ends = np.append(starts[1:], m)
+        step = max(1, cap // 2 // leaves)
+        for c in range(0, starts.size, step):
+            # the leaves whose box is within each block's largest seed bound of its query box
+            at, chunk = starts[c:c + step] - starts[c], slice(starts[c], ends[c:c + step][-1])
+            q = rows[order[chunk]]
+            reach = np.maximum.reduceat(bound[chunk], at)
+            near = box_bounds(self._lo, self._hi, np.minimum.reduceat(q, at),
+                              np.maximum.reduceat(q, at)) <= reach[:, None]
+            for near_leaves, start, stop in zip(near, starts[c:c + step], ends[c:c + step]):
+                live = np.flatnonzero(near_leaves)
+                lo, hi, size = self._lo[:, live], self._hi[:, live], self._leaf_size[live]
+                while start < stop:  # rows given up to the buffer cap reuse the block's leaves
+                    b = min(stop - start, max(1, cap // live.size))
+                    q, q_bound = rows[order[start:start + b]], bound[start:start + b]
+                    scan = box_bounds(lo, hi, q, q) <= q_bound[:, None]
+                    counts = scan @ size
+                    fits = np.maximum.accumulate(counts) * np.arange(1, b + 1) <= cap
+                    b = max(1, int(np.count_nonzero(fits)))
+                    yield (order[start:start + b], self._candidates(scan[:b], live), counts[:b],
+                           q_bound[:b])
+                    start += b
 
 
 def build_index(train: Dataset, metric: DistanceMetric, backend: SearchBackend):

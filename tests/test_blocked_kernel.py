@@ -28,22 +28,25 @@ unsampled rows, and queries that copy unsampled rows. With the sample
 partitioned at k - 2 instead of k - 1, the tie-split family fails.
 
 ``KdTreeIndex.query`` is checked the same way on trees with two or more
-levels (n from 17 to 300), with the tree's query-block row count, its
-subtree levels and its per-block buffer cap patched so that m crosses
-several blocks, blocks end at every leaf's edge or at no subtree's edge,
-and blocks give up rows to fit. The build's depth cap is patched to 0, 1
-or 2 levels too, so that leaves hold far more than _LEAF_SIZE points, as
-they do past 2^14 rows. On a 2-d clustered tree of 2^10 leaves, every
-block's rows must share one subtree of 2^_TREE_BLOCK_LEVELS leaves, and
-the blocks together must take the rows in home-leaf order. The kd build
-itself is checked array by array against a row-major reference build
-kept in this file, at every depth cap, and the invariant its pruning
-rests on directly: no leaf's box bound exceeds the computed distance of
-any point in the leaf, also where squares underflow or overflow. At the
-density job's shape (100000 x 2, k 10) the default tree must have 2^10
-leaves, equal brute force byte for byte and peak below 1.5 MiB per
-query; trees of up to 2^14 rows, the sweep's 8000 among them, must be
-the ones an uncapped build makes, array for array.
+levels (n from 17 to 300, d from 1 to 8), with the tree's query-block
+row count, its subtree levels and its per-block buffer cap patched so
+that m crosses several blocks, blocks end at every leaf's edge or at no
+subtree's edge, and blocks give up rows to fit. The build's depth cap is
+patched to 0, 1 or 2 levels too, so that leaves hold far more than
+_LEAF_SIZE points, as they do past 2^14 rows. Every row's seed bound, as
+the blocks carry it, must be the k-th smallest scalar distance over its
+window in the aligned subtree around its home leaf, with the block
+settings at their defaults and patched. On a 2-d clustered tree of 2^10
+leaves, every block's rows must share one subtree of 2^_TREE_BLOCK_LEVELS
+leaves, and the blocks together must take the rows in home-leaf order.
+The kd build itself is checked array by array against a row-major
+reference build kept in this file, at every depth cap, and the invariant
+its pruning rests on directly: no leaf's box bound exceeds the computed
+distance of any point in the leaf, also where squares underflow or
+overflow. At the density job's shape (100000 x 2, k 10) the default tree
+must have 2^10 leaves, equal brute force byte for byte and peak below
+1.5 MiB per query; trees of up to 2^14 rows, the sweep's 8000 among
+them, must be the ones an uncapped build makes, array for array.
 
 Both backends hand their candidate blocks to one ranker, which ranks
 consecutive blocks as one group. With its group size patched so that
@@ -67,7 +70,7 @@ not. The kd-tree drops candidates above their row's seed bound: on an
 integer grid, where points outside the seed window tie the k-th
 distance, the answers must stay those of the per-row scan while the cut
 drops candidates, and a strict ``<`` cut fails. A tracemalloc guard keeps
-the sweep-shape kd query (8000 x 3, k 76, 2000 rows) below 5 MiB.
+the sweep-shape kd query (8000 x 3, k 76, 2000 rows) below 3.75 MiB.
 """
 
 import tracemalloc
@@ -379,7 +382,7 @@ def tree_cases(draw, scales=SCALES):
     with duplicates and mass ties, some arbitrary normal rows, and queries
     that copy training rows, all multiplied by one of ``scales``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 8))
     n = draw(st.integers(17, 300))
     points = rng.integers(0, draw(st.sampled_from([1, 2, 3, 6])), size=(n, d)).astype(float)
     free = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
@@ -432,6 +435,67 @@ def test_kd_blocks_stay_inside_one_subtree():
     for sel in blocks:
         assert np.unique(home[sel] >> levels).size == 1
     assert np.concatenate(blocks).tobytes() == np.argsort(home, kind="stable").tobytes()
+
+
+def _recorded_seed_bounds(tree, queries, k):
+    """Each query row's seed bound, from the (sel, bound) pairs of the
+    blocks ``KdTreeIndex._blocks`` yields for ``tree.query``."""
+    bounds, counts = np.empty(len(queries)), np.zeros(len(queries), dtype=int)
+    unrecorded = KdTreeIndex._blocks
+
+    def recorded(self, *args):
+        for block in unrecorded(self, *args):
+            bounds[block[0]] = block[3]
+            counts[block[0]] += 1
+            yield block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KdTreeIndex, "_blocks", recorded)
+        tree.query(queries, k)
+    assert (counts == 1).all()
+    return bounds
+
+
+def _reference_seed_bounds(tree, queries, k):
+    """Per row, the k-th smallest scalar distance to the first ``width``
+    points of the smallest aligned subtree around its home leaf whose g
+    leaves hold 2k points at the smallest leaf size (at most the whole
+    tree), width = min(n, max(2k, g * that size)), shifted left where the
+    window would pass the last point."""
+    n, sizes = tree.n_points, tree._leaf_size
+    k = min(k, n)
+    g = 1
+    while g * sizes.min() < 2 * k and g < sizes.size:
+        g *= 2
+    width = min(n, max(2 * k, g * int(sizes.min())))
+    rank = neighbors._RANKED[tree.metric]
+    bounds = []
+    for q, home in zip(queries, tree._home_leaves(queries)):
+        start = min(int(tree._leaf_start[home - home % g]), n - width)
+        dist = sorted(rank(tree._columns[:, c], q) for c in range(start, start + width))
+        bounds.append(dist[k - 1])
+    return np.array(bounds)
+
+
+@pytest.mark.parametrize("metric", NUMERIC_METRICS)
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(case=tree_cases(), levels=st.sampled_from(TREE_LEVELS))
+# normal rows, whose seed windows around and inside the home subtree differ
+@example(case=(*np.random.default_rng(24).normal(size=(2, 150, 2)), 5, 3, 32 * 40), levels=2)
+def test_kd_seed_bound_is_the_kth_distance_in_the_home_subtree_window(case, levels, metric):
+    # the seed bound depends on the query and its home leaf alone: blocks of
+    # other row counts, subtree cuts or buffer caps, where blocks give up rows
+    # to sub-blocks that reuse the block's live leaves, leave it unchanged
+    points, queries, k, rows, block_bytes = case
+    for depth in TREE_DEPTHS:
+        tree = _capped_tree(points, metric, depth)
+        expected = _reference_seed_bounds(tree, queries, k).tobytes()
+        assert _recorded_seed_bounds(tree, queries, k).tobytes() == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_TREE_BLOCK_ROWS", rows)
+            mp.setattr(neighbors, "_TREE_BLOCK_LEVELS", levels)
+            mp.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
+            assert _recorded_seed_bounds(tree, queries, k).tobytes() == expected
 
 
 def _ranked_rows(index, queries, k, block, tree_rows, tree_levels, rank_entries):
@@ -669,7 +733,7 @@ def test_nearest_k_breaks_every_tie_on_the_training_row(data):
 def test_seed_bound_cut_keeps_every_point_that_ties_the_kth_distance(metric):
     # Every point of a 24 x 24 integer grid, twice, in shuffled order: many
     # points tie the k-th distance, about half of them outside the query's
-    # seed window (in 507 of the 544 euclidean (query, k) cases, at least
+    # seed window (in 421 of the 544 euclidean (query, k) cases, at least
     # one, on the default tree). The kd-tree drops each candidate above its
     # row's seed bound; every point on the bound must stay, at every depth cap.
     grid = np.array([(x, y) for x in range(24) for y in range(24)], dtype=float)
@@ -703,9 +767,11 @@ def test_seed_bound_cut_keeps_every_point_that_ties_the_kth_distance(metric):
         assert sum(ranked) < sum(scanned)
 
 
-def test_kd_query_peaks_below_5_mib_at_the_sweep_shape():
+def test_kd_query_peaks_below_3_75_mib_at_the_sweep_shape():
     # the sweep's defaults: 8000 x 3 training rows, 2000 test rows, k 76; the
-    # (2000, 76) indices and distances alone take 2.3 MiB
+    # (2000, 76) indices and distances alone take 2.3 MiB. Seeding every row
+    # and bounding every block before the block loop runs in the block
+    # buffers; this query peaked at 3744 KiB before that, 3696 KiB after
     rng = np.random.default_rng(21)
     tree = KdTreeIndex(rng.uniform(0.0, 10.0, size=(8000, 3)), DistanceMetric.EUCLIDEAN)
     queries = rng.uniform(0.0, 10.0, size=(2000, 3))
@@ -715,7 +781,7 @@ def test_kd_query_peaks_below_5_mib_at_the_sweep_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20
+    assert peak < 3.75 * 2**20
 
 
 def test_kd_tree_at_the_density_shape_has_2_to_the_10_leaves():
