@@ -40,8 +40,8 @@ _LEAF_SIZE = 16
 # large training sets get larger leaves. 100000 x 2, k 10: build and query took 83, 67,
 # 66, 68 and 88 ms at depth 8-11 and uncapped (13); up to 2^14 rows never reach it.
 _TREE_MAX_DEPTH = 10
-# Byte cap on each (block x n) buffer of the blocked brute-force kernel;
-# the kd-tree caps each of its per-block buffers at a quarter of it.
+# Byte cap on each (block x n) buffer of the blocked brute-force kernel; the kd-tree's
+# buffers take a quarter of it, and each piece of a kd block fits its candidates in one.
 # Both reuse them per call: per-block buffers raised predict_brute_d8 peak_rss_mb 1.4-1.7 MiB.
 _BLOCK_BYTES = 1 << 20
 # The euclidean filter's matmul stays finite for rows with S + W_i at or
@@ -531,10 +531,11 @@ class KdTreeIndex(_IndexBase):
     bound, as step 2 keeps every such leaf (the block's query box holds
     the query, and the block's largest seed bound is at or above its own).
     At 8000 x 3 and k 76, a query scans about 415 points and ranks 150.
-    Each per-block buffer, the block's padded candidate matrix included,
-    is capped at _BLOCK_BYTES // 4 bytes: a block gives up rows until its
-    buffers fit, keeping at least one row; the rows it gives up keep its
-    leaves from step 2, a superset of their own, so step 3 is unchanged.
+    Step 3 scans a block's rows once, and yields them in pieces of
+    max(1, C // c) rows, C the entries of a _BLOCK_BYTES // 4 buffer and c
+    the block's largest row count: a piece's padded candidates fit one
+    buffer unless one row alone needs more. Its rows keep their scans of
+    the block's leaves, a superset of their own, so step 3 is unchanged.
     ``_rank`` ranks groups of blocks in the seed buffers: a group holds at
     most 4 _RANK_ENTRIES entries, half the default cap, unless one block
     alone holds more.
@@ -603,8 +604,8 @@ class KdTreeIndex(_IndexBase):
 
     def _blocks(self, rows, k, dist_buf, work_buf):
         """Yield the candidate block (sel, positions, counts, bound) of
-        each block of query rows, seeded in ``dist_buf`` and ``work_buf``,
-        whose size caps each block's buffers."""
+        each piece of each block of query rows, seeded in ``dist_buf`` and
+        ``work_buf``, whose size caps each piece's padded candidates."""
         m, n, cap = rows.shape[0], self.n_points, dist_buf.size
         if m == 0:  # reduceat takes no empty index list
             return
@@ -653,17 +654,15 @@ class KdTreeIndex(_IndexBase):
                               np.maximum.reduceat(q, at)) <= reach[:, None]
             for near_leaves, start, stop in zip(near, starts[c:c + step], ends[c:c + step]):
                 live = np.flatnonzero(near_leaves)
-                lo, hi, size = self._lo[:, live], self._hi[:, live], self._leaf_size[live]
-                while start < stop:  # rows given up to the buffer cap reuse the block's leaves
-                    b = min(stop - start, max(1, cap // live.size))
-                    q, q_bound = rows[order[start:start + b]], bound[start:start + b]
-                    scan = box_bounds(lo, hi, q, q) <= q_bound[:, None]
-                    counts = scan @ size
-                    fits = np.maximum.accumulate(counts) * np.arange(1, b + 1) <= cap
-                    b = max(1, int(np.count_nonzero(fits)))
-                    yield (order[start:start + b], self._candidates(scan[:b], live), counts[:b],
-                           q_bound[:b])
-                    start += b
+                sel, q_bound = order[start:stop], bound[start:stop]
+                q = rows[sel]
+                # scan and counts are new arrays: _rank reuses the buffers between pieces
+                scan = box_bounds(self._lo[:, live], self._hi[:, live], q, q) <= q_bound[:, None]
+                counts = scan @ self._leaf_size[live]
+                p = max(1, cap // int(counts.max()))  # rows whose padded candidates fit a buffer
+                for s in range(0, sel.size, p):
+                    yield (sel[s:s + p], self._candidates(scan[s:s + p], live), counts[s:s + p],
+                           q_bound[s:s + p])
 
 
 def build_index(train: Dataset, metric: DistanceMetric, backend: SearchBackend):

@@ -31,8 +31,11 @@ partitioned at k - 2 instead of k - 1, the tie-split family fails.
 levels (n from 17 to 300, d from 1 to 8), with the tree's query-block
 row count, its subtree levels and its per-block buffer cap patched so
 that m crosses several blocks, blocks end at every leaf's edge or at no
-subtree's edge, and blocks give up rows to fit. The build's depth cap is
-patched to 0, 1 or 2 levels too, so that leaves hold far more than
+subtree's edge, and blocks are yielded in pieces of one block scan.
+There, and at the default settings on normal 20000 x 8, each query row
+must reach the per-row point-to-box scan once, and each piece must be
+one row or fit its padded candidates in the buffer cap. The build's depth
+cap is patched to 0, 1 or 2 levels too, so that leaves hold far more than
 _LEAF_SIZE points, as they do past 2^14 rows. Every row's seed bound, as
 the blocks carry it, must be the k-th smallest scalar distance over its
 window in the aligned subtree around its home leaf, with the block
@@ -69,8 +72,9 @@ rows padded by complex(0, 0) where one ties its k-th value, it does
 not. The kd-tree drops candidates above their row's seed bound: on an
 integer grid, where points outside the seed window tie the k-th
 distance, the answers must stay those of the per-row scan while the cut
-drops candidates, and a strict ``<`` cut fails. A tracemalloc guard keeps
-the sweep-shape kd query (8000 x 3, k 76, 2000 rows) below 3.75 MiB.
+drops candidates, and a strict ``<`` cut fails. Tracemalloc guards keep
+the sweep-shape kd query (8000 x 3, k 76, 2000 rows) below 3.75 MiB and
+the normal 20000 x 8, k 10 one (300 rows) below 2 MiB.
 """
 
 import tracemalloc
@@ -397,6 +401,34 @@ def tree_cases(draw, scales=SCALES):
     return points * scale, queries * scale, k, draw(st.integers(1, 5)), block_bytes
 
 
+def _query_scanning_each_row_once(tree, queries, k):
+    """``tree.query(queries, k)``, checked to pass each query row to the
+    per-row point-to-box scan (a ``_box_bounds`` call whose query box is
+    the row itself) once, and to yield pieces of one row or whose padded
+    candidates fit the buffer cap."""
+    scanned, pieces = [], []
+    box_bounds, unrecorded = neighbors._box_bounds, KdTreeIndex._blocks
+
+    def counted(lo, hi, q_lo, q_hi, *args):
+        if q_lo is q_hi:
+            scanned.append(len(q_lo))
+        return box_bounds(lo, hi, q_lo, q_hi, *args)
+
+    def recorded(self, *args):
+        for block in unrecorded(self, *args):
+            pieces.append((block[0].size, int(block[2].max())))
+            yield block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_box_bounds", counted)
+        mp.setattr(KdTreeIndex, "_blocks", recorded)
+        result = tree.query(queries, k)
+    assert sum(scanned) == len(queries)
+    cap = neighbors._BLOCK_BYTES // 4 // 8
+    assert all(rows == 1 or rows * widest <= cap for rows, widest in pieces)
+    return result
+
+
 @pytest.mark.parametrize("metric", NUMERIC_METRICS)
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(case=tree_cases(), levels=st.sampled_from(TREE_LEVELS),
@@ -408,8 +440,16 @@ def test_multi_level_kd_tree_equals_per_row_scan(case, levels, depth, metric):
         mp.setattr(neighbors, "_TREE_BLOCK_ROWS", rows)
         mp.setattr(neighbors, "_TREE_BLOCK_LEVELS", levels)
         mp.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
-        result = tree.query(queries, k)
+        result = _query_scanning_each_row_once(tree, queries, k)
     _assert_equals_per_row_oracle(result, BruteForceIndex(points, metric), queries, k)
+
+
+def test_kd_query_scans_each_row_once_at_20000_x_8():
+    # rows that a block gave up to the buffer cap used to be scanned again:
+    # 5477 scans for these 1000 rows
+    rng = np.random.default_rng(2408)
+    tree = KdTreeIndex(rng.normal(size=(20_000, 8)), DistanceMetric.EUCLIDEAN)
+    _query_scanning_each_row_once(tree, rng.normal(size=(1000, 8)), 10)
 
 
 def test_kd_blocks_stay_inside_one_subtree():
@@ -484,8 +524,8 @@ def _reference_seed_bounds(tree, queries, k):
 @example(case=(*np.random.default_rng(24).normal(size=(2, 150, 2)), 5, 3, 32 * 40), levels=2)
 def test_kd_seed_bound_is_the_kth_distance_in_the_home_subtree_window(case, levels, metric):
     # the seed bound depends on the query and its home leaf alone: blocks of
-    # other row counts, subtree cuts or buffer caps, where blocks give up rows
-    # to sub-blocks that reuse the block's live leaves, leave it unchanged
+    # other row counts, subtree cuts or buffer caps, where a block's rows are
+    # yielded in one-row and few-row pieces of one block scan, leave it unchanged
     points, queries, k, rows, block_bytes = case
     for depth in TREE_DEPTHS:
         tree = _capped_tree(points, metric, depth)
@@ -782,6 +822,24 @@ def test_kd_query_peaks_below_3_75_mib_at_the_sweep_shape():
     finally:
         tracemalloc.stop()
     assert peak < 3.75 * 2**20
+
+
+def test_kd_query_peaks_below_2_mib_at_20000_x_8():
+    # normal 20000 x 8, k 10, 300 rows: 1460 KiB. Each block yielded whole,
+    # past the buffer cap, peaked at 9636 KiB
+    rng = np.random.default_rng(25)
+    points, queries = rng.normal(size=(20_000, 8)), rng.normal(size=(300, 8))
+    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN)
+    tracemalloc.start()
+    try:
+        result = tree.query(queries, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    brute = BruteForceIndex(points, DistanceMetric.EUCLIDEAN).query(queries, 10)
+    assert result.indices.tobytes() == brute.indices.tobytes()
+    assert result.distances.tobytes() == brute.distances.tobytes()
 
 
 def test_kd_tree_at_the_density_shape_has_2_to_the_10_leaves():
