@@ -12,7 +12,7 @@ manhattan distances overflow to inf and tie the inf that pads
 candidate rows, and hamming codes. Derandomized and capped at a few
 examples per case. The exact loop is checked to copy no training rows,
 and the euclidean index to hold one copy of its points and to keep its
-filter narrow on points offset by 1e9 spreads.
+filter narrow on points offset by 1e9, 1e12, 1e13 and 1e15 spreads.
 
 The euclidean filter of ``BruteForceIndex`` (a matmul picks candidates,
 the scalar-order distances rank them) is checked the same way on hostile
@@ -20,12 +20,21 @@ families: cancellation under a common offset, rows a few ulps apart,
 duplicates that tie at the k-th distance, integer grids, subnormal and
 1e-160 scales, 1e150 and 1e160 scales, and one +-1e300 row that sends
 every query to the exact loop. With the filter's constants c and tau set
-to 0, the integer-grid, tie and 1e-160 families fail. Three more families
+to 0, the integer-grid, subnormal and 1e-160 families fail. Three more families
 patch the sampling constants so that K_i comes from every s-th column
 with s > 1: the sampled rows far from every query (nearly every column is
 a candidate), a tie at the k-th distance split between sampled and
 unsampled rows, and queries that copy unsampled rows. With the sample
 partitioned at k - 2 instead of k - 1, the tie-split family fails.
+The filter's float32 error terms have cases of their own, on both
+backends: a tie at the k-th distance that only subnormal distances make
+(training rows 1.1832 2^-537 and 2^-537, query 0, k 1; with tau lacking
+its sigma^2 term the filter returns row 1), a column of spread 1e-30 or
+1e-44 next to a grid column, so that float32 loses the only column that
+orders tied rows, spreads of 1e-300 and 1e150, and a query 2^55 spreads
+from the mean, which must take the exact loop, as must a query 1e87
+spreads out whose squared distance from the mean underflows to 0, while
+one 2^40 spreads away takes the filter.
 
 ``KdTreeIndex.query`` is checked the same way on trees with two or more
 levels (n from 17 to 300, d from 1 to 8), with the tree's query-block
@@ -210,27 +219,113 @@ def test_equal_roots_keep_their_squared_order():
 
 
 def test_euclidean_filter_stays_narrow_under_a_large_offset():
-    # Only the query is centered, so the filter's bound grows with |mu|; at
-    # an offset of 1e9 spreads it still admits a few k columns per row,
-    # where a filter with no centering at all admits every column.
+    # The filter's product reads centered points, so its bound grows with a
+    # query's distance from mu, not with mu: at offsets of 1e9 to 1e15
+    # spreads it still admits a few k columns per row, where a filter with
+    # no centering at all admits every column.
     n, d = 4000, 4
     rng = np.random.default_rng(11)
-    rows = rng.normal(size=(n + 100, d)) + 1e9
-    index = BruteForceIndex(rows[:n], DistanceMetric.EUCLIDEAN)
-    widths = []
+    normal = rng.normal(size=(n + 100, d))
     nearest_k = neighbors._nearest_k
+    for offset in (1e9, 1e12, 1e13, 1e15):
+        rows = normal + offset
+        index = BruteForceIndex(rows[:n], DistanceMetric.EUCLIDEAN)
+        widths = []
 
-    def recorded(dist, *args):
-        widths.append(dist.shape[1])  # brute force pads its candidates to the widest row
-        return nearest_k(dist, *args)
+        def recorded(dist, *args):
+            widths.append(dist.shape[1])  # brute force pads its candidates to the widest row
+            return nearest_k(dist, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_nearest_k", recorded)
+            result = index.query(rows[n:], 10)
+        assert widths and max(widths) < n // 10, offset
+        tree = KdTreeIndex(rows[:n], DistanceMetric.EUCLIDEAN).query(rows[n:], 10)
+        assert result.indices.tobytes() == tree.indices.tobytes()
+        assert result.distances.tobytes() == tree.distances.tobytes()
+
+
+def _assert_both_backends_equal_the_per_row_scan(points, queries, k):
+    """(result, the query rows the euclidean filter took) of a brute-force
+    query whose bytes, and the kd-tree's, equal the per-row scan's."""
+    index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+    filtered = []
+    filter_block = BruteForceIndex._filter_block
+
+    def counted(self, sel, *args):
+        filtered.extend(sel.tolist())
+        return filter_block(self, sel, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neighbors, "_nearest_k", recorded)
-        result = index.query(rows[n:], 10)
-    assert widths and max(widths) < n // 10
-    tree = KdTreeIndex(rows[:n], DistanceMetric.EUCLIDEAN).query(rows[n:], 10)
+        mp.setattr(BruteForceIndex, "_filter_block", counted)
+        result = index.query(queries, k)
+    _assert_equals_per_row_oracle(result, index, queries, k)
+    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN).query(queries, k)
     assert result.indices.tobytes() == tree.indices.tobytes()
     assert result.distances.tobytes() == tree.distances.tobytes()
+    return result, filtered
+
+
+def test_filter_keeps_a_tie_that_only_subnormal_distances_make():
+    # Both distances to 0 round to 2^-1074, so row 0 wins the tie, but the
+    # float32 F puts row 0 far above row 1: only tau's sigma^2 term, which
+    # carries the distance's own subnormal error into sigma units, admits it.
+    points = np.array([[1.1832 * 2.0**-537], [2.0**-537]])
+    result, filtered = _assert_both_backends_equal_the_per_row_scan(points, np.zeros((1, 1)), 1)
+    assert filtered == [0]
+    assert result.indices.tolist() == [[0]]
+    assert result.distances.tolist() == [[np.sqrt(5e-324)]]
+
+
+@pytest.mark.parametrize("tiny", [1e-30, 1e-44])
+def test_filter_ranks_a_column_that_float32_loses(tiny):
+    # Next to a grid column of spread 1, a column of spread 1e-30 gives
+    # float32 products far below 2^-126, and one of 1e-44 float32-subnormal
+    # coordinates. Rows that share the query's grid value tie in F, and only
+    # the tiny column orders them by distance.
+    rng = np.random.default_rng(26)
+    points = np.column_stack([rng.integers(-3, 4, size=300).astype(float),
+                              tiny * rng.normal(size=300)])
+    queries = np.concatenate([points[rng.integers(0, 300, size=20)],
+                              np.column_stack([rng.integers(-3, 4, size=20).astype(float),
+                                               tiny * rng.normal(size=20)])])
+    result, filtered = _assert_both_backends_equal_the_per_row_scan(points, queries, 7)
+    assert sorted(filtered) == list(range(40))
+
+
+@pytest.mark.parametrize("spread", [1e-300, 1e150])
+def test_filter_equals_the_per_row_scan_at_extreme_spreads(spread):
+    # sigma reaches 2^997 and 2^-500; at 1e150 rows whose S / sigma^2 + W
+    # passes 2^1000 take the exact loop
+    rng = np.random.default_rng(27)
+    points = rng.normal(size=(200, 3))
+    points[:100] = rng.integers(-3, 4, size=(100, 3))
+    points *= spread
+    queries = np.concatenate([points[rng.integers(0, 200, size=10)],
+                              spread * rng.normal(size=(10, 3))])
+    _assert_both_backends_equal_the_per_row_scan(points, queries, 5)
+
+
+def test_query_far_from_the_mean_takes_the_exact_loop():
+    # w > 2^100 would bring the float32 product near 2^128: a query 2^55
+    # spreads from mu takes the exact loop, one 2^40 spreads away the
+    # filter, and both pass the 2^1000 route
+    rng = np.random.default_rng(28)
+    points = rng.normal(size=(500, 4))
+    index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+    queries = np.array([points[3], points[3] + 2.0**55, points[3] - 2.0**40, points[8]])
+    assert index._max_norm + np.sum((queries - index._mean) ** 2, axis=1).max() \
+        <= neighbors._FILTER_LIMIT
+    _, filtered = _assert_both_backends_equal_the_per_row_scan(points, queries, 3)
+    assert sorted(filtered) == [0, 2, 3]
+    # Spread 1e-250 gives sigma = 2^831, and the query 1e-163 lies about
+    # 1e87 spreads out, yet its W = |q'|^2 underflows to 0: w, taken in
+    # sigma units, must still send it to the exact loop.
+    points, queries = np.array([[0.0], [1e-250]]), np.array([[1e-163]])
+    assert np.sum((queries - BruteForceIndex(points, DistanceMetric.EUCLIDEAN)._mean) ** 2) == 0
+    result, filtered = _assert_both_backends_equal_the_per_row_scan(points, queries, 1)
+    assert filtered == []
+    assert result.indices.tolist() == [[0]]
 
 
 # Families on training rows 0, s, 2s, ... (the columns the filter's K_i

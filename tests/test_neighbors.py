@@ -251,3 +251,22 @@ class TestMatrixQuery:
         idx = build_index(make_dataset([0.0, 1.0]), DistanceMetric.EUCLIDEAN, backend)
         with pytest.raises(ValueError, match="NaN"):
             query(idx, [[0.5], [np.nan]], 1)
+
+
+# Distances past the float range rank wrong on both backends: the squares
+# or, for manhattan, the coordinate differences themselves overflow to inf
+# and tie, so the row index decides. Row 1 (2e154 away) must come before
+# row 0 (4e154 away), and row 1 (2e308 away) before row 0 (2.5e308 away).
+OVERFLOW_MISRANKINGS = [
+    (DistanceMetric.EUCLIDEAN, [0.0, 2e154, 3e154, -5e154], 4e154, [2, 1, 0]),
+    (DistanceMetric.MANHATTAN, [-1.5e308, -1e308], 1e308, [1, 0]),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="distances past the float range tie at inf (CHANGES.md FOUND)")
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("metric, train, q, expected", OVERFLOW_MISRANKINGS)
+def test_distances_past_the_float_range_keep_their_order(backend, metric, train, q, expected):
+    idx = build_index(make_dataset(train), metric, backend)
+    assert query(idx, [q], len(expected)).indices.tolist() == expected
