@@ -50,11 +50,11 @@ _BLOCK_BYTES = 1 << 20
 # euclidean filter, which also needs sigma^2 W_i <= 2^100 for its float32 product (see
 # BruteForceIndex); other rows take the exact loop.
 _FILTER_LIMIT = 2.0**1000
-# The euclidean filter takes each row's K_i from every rho-th column of F,
-# rho = max(1, min(_SAMPLE_STRIDE, n // (_SAMPLE_COLUMNS_PER_K k))) (see BruteForceIndex).
-# On 20000 x 8, k 10: rho = 2 was 10-15% slower than 4 and 8, which timed alike.
-_SAMPLE_STRIDE = 4
-_SAMPLE_COLUMNS_PER_K = 64
+# The euclidean filter takes each row's K_i from G = n // r minima of F over groups of
+# r = max(1, n // (_GROUPS_PER_K k)) columns (see BruteForceIndex). On 20000 x 8, k 10,
+# 1000 queries, G = 2k, 4k, 8k, 16k, 32k, 64k, 128k took 33.4, 25.2, 18.3, 16.2, 15.8, 15.5,
+# 16.0 ms (K_i over every 4th column: 22.5-23.0 ms); a min-reduce over a short axis is slow.
+_GROUPS_PER_K = 64
 # Query rows the kd-tree searches together. Rows are sorted by home leaf,
 # so a small block stays spatially compact and its leaf filter stays tight.
 # 16, 24, 32, 64 rows took 45, 41, 40, 42 ms at 8000 x 3, k 76; 23, 18, 17, 13 ms at
@@ -65,9 +65,9 @@ _TREE_BLOCK_ROWS = 32
 # took 2.9% longer at 100000 x 2, k 10 (1024 leaves; 2 of 3 seeds), 2.8-7.0% at normal
 # 20000 x 3, k 10; 6-9 timed alike; sweep_kd_d3's (8000 x 3, k 76) stays flat.
 _TREE_BLOCK_LEVELS = 8
-# Consecutive candidate blocks are ranked together once their padded
-# matrix holds this many entries, never past 4x it unless one block alone is.
-# 20000 x 8, k 10: 17 groups, not 167, query ~20% faster; 2^13 slowed 8000 x 3, k 76.
+# Consecutive candidate blocks are ranked together once their padded matrix holds this many
+# entries, never past 4x it unless one block alone is. 20000 x 8, k 10: 17 groups, not 167,
+# query ~20% faster (3 since K_i came from group minima); 2^13 slowed 8000 x 3, k 76.
 _RANK_ENTRIES = 1 << 12
 # The euclidean filter's product runs in column slices of at most this M*N*K. OpenBLAS
 # put slices of 2^20 on 2 threads in 27 of 30 processes ((6, 9) @ (9, 19418)), 10^6 in 0 of 30;
@@ -353,13 +353,13 @@ class BruteForceIndex(_IndexBase):
     F = fl32(-2 sigma q') @ Y + fl32(s (1 - c)) is a float32 BLAS product,
     in column slices of at most _PRODUCT_SIZE multiply-adds (one slice at
     20000 x 8), and one float32 addition, in a float32 view of a float64
-    buffer. K_i is the k-th smallest F of row i over every rho-th column,
-    rho = max(1, min(4, n // (64 k))), and column j is a candidate for
-    row i when F_ij <= K_i + 2c (S + w_i) + 2 tau: the bound is computed
-    in float64 and rounded up to a float32, so that the compare stays in
-    float32. That is about rho k candidates per row, whose distances
-    alone are computed, from the raw coordinates in the scalar order, and
-    ranked by ``_rank``, the candidates of consecutive blocks together.
+    buffer. K_i is the k-th smallest of row i's minima of F over G = n // r
+    groups, r = max(1, n // (64 k)), column j < r G in group j mod G; any
+    column j is a candidate for row i when F_ij <= K_i + 2c (S + w_i) + 2 tau:
+    the bound is computed in float64 and rounded up to a float32, so that
+    the compare stays in float32. That is about k (1 + k / 2G) candidates
+    per row, whose distances alone are computed, from the raw coordinates
+    in the scalar order, and ranked by ``_rank``, blocks together.
     Here c = (4d + 128) 2^-24 and tau = (d + 2) (2^-100 + sigma^2 2^-1000).
     A row takes the filter where d <= 2^16, S / sigma^2 + W <= 2^1000,
     which keeps every ranked distance finite (where the k-th is inf, every
@@ -443,15 +443,15 @@ class BruteForceIndex(_IndexBase):
     that is not finite leaves S not finite, and every row then takes the
     exact loop.
 
-    Why a sample of F gives K_i. The argument above uses two facts about
+    Why group minima give K_i. The argument above uses two facts about
     K_i only: at least k columns have F <= K_i, and K_i is one of row i's
     F values, which bounds |K_i|. Any K_i that k columns reach keeps both,
     and a larger K_i only admits more candidates, each ranked by its exact
-    distance. The k-th smallest F over a strided sample is such a K_i
-    wherever the sample holds at least k columns; a stride rho > 1 is
-    taken only where n >= 64 k rho, so the sample then holds at least
-    64 k. The sample's K_i is at least the k-th smallest over all n, so
-    about rho k columns per row pass the bound instead of about k.
+    distance. The groups are disjoint and G >= k, so the k smallest group
+    minima are F values at k distinct columns, and the k-th of them is
+    such a K_i: at r = 1, the k-th smallest F. It exceeds the k-th smallest
+    F over all n only where two of the k smallest share a group; no two
+    consecutive columns do, so sorted or clustered rows spread over groups.
     """
 
     def __init__(self, points, metric):
@@ -502,9 +502,9 @@ class BruteForceIndex(_IndexBase):
                 for column, mean, out in zip(self._columns, self._mean, points):
                     out[:] = np.multiply(np.subtract(column, mean, out=acc[:n]), self._scale,
                                          out=acc[:n])
-                stride = max(1, min(_SAMPLE_STRIDE, n // (_SAMPLE_COLUMNS_PER_K * k)))
+                rounds = max(1, n // (_GROUPS_PER_K * k))
                 blocks = (self._filter_block(fast[start:start + block], centered, scaled, k,
-                                             stride, points, acc, scratch, mask)
+                                             rounds, points, acc, scratch, mask)
                           for start in range(0, fast.size, block))
                 self._rank(rows, blocks, k, indices, distances, acc, scratch, mask)
             exact = np.flatnonzero(~filtered)
@@ -515,12 +515,12 @@ class BruteForceIndex(_IndexBase):
             indices[sel], distances[sel] = _nearest_k(dist, k, _view(scratch, b, n),
                                                       _view(mask, b, n))
 
-    def _filter_block(self, sel, centered, spread, k, stride, points, acc, scratch, mask):
+    def _filter_block(self, sel, centered, spread, k, rounds, points, acc, scratch, mask):
         """The candidate block (sel, columns, counts, None) of the
         euclidean filter for the query rows ``sel``; see the class
         docstring. ``centered`` holds sigma q' and ``spread`` w for
         every query row, ``points`` is the float32 copy Y, and K_i comes
-        from every ``stride``-th column of F."""
+        from the minima of F over the n // ``rounds`` column groups."""
         b, n = sel.size, self.n_points
         lhs = (centered[sel] * -2.0).astype(np.float32)
         approx = _view(acc.view(np.float32), b, n)
@@ -528,11 +528,11 @@ class BruteForceIndex(_IndexBase):
         for s in range(0, n, step):
             np.matmul(lhs, points[:, s:s + step], out=approx[:, s:s + step])
         approx += self._norms
-        sample = approx[:, ::stride]
-        work = _view(scratch.view(np.float32), b, sample.shape[1])
-        np.copyto(work, sample)
-        work.partition(k - 1, axis=1)
-        bound = (work[:, k - 1] + 2 * self._slack * (self._scaled_max + spread[sel])
+        groups = n // rounds  # column j < rounds G is in group j mod G
+        minima = _view(scratch.view(np.float32), b, groups)  # in scratch, also where G = n
+        np.minimum.reduce(approx[:, :rounds * groups].reshape(b, rounds, groups), 1, out=minima)
+        minima.partition(k - 1, axis=1)
+        bound = (minima[:, k - 1] + 2 * self._slack * (self._scaled_max + spread[sel])
                  + 2 * self._floor)
         # rounded up to float32: a float64 bound would promote the whole (b, n) compare
         bound = np.nextafter(bound.astype(np.float32), np.float32(np.inf))

@@ -21,11 +21,14 @@ duplicates that tie at the k-th distance, integer grids, subnormal and
 1e-160 scales, 1e150 and 1e160 scales, and one +-1e300 row that sends
 every query to the exact loop. With the filter's constants c and tau set
 to 0, the integer-grid, subnormal and 1e-160 families fail. Three more families
-patch the sampling constants so that K_i comes from every s-th column
-with s > 1: the sampled rows far from every query (nearly every column is
-a candidate), a tie at the k-th distance split between sampled and
-unsampled rows, and queries that copy unsampled rows. With the sample
-partitioned at k - 2 instead of k - 1, the tie-split family fails.
+patch the per-k group constant so that K_i comes from the minima of F
+over G groups of r > 1 columns each, and check that the filter takes
+that r: every member of all but k - 1 groups far from every query (nearly
+every column is a candidate), a tie at the k-th distance split between a
+group's minimum and another member of the group or a column past r G,
+which is in no group, and queries that copy only columns past r G. With
+the minima partitioned at k - 2 instead of k - 1, the tie-split family
+fails.
 The filter's float32 error terms have cases of their own, on both
 backends: a tie at the k-th distance that only subnormal distances make
 (training rows 1.1832 2^-537 and 2^-537, query 0, k 1; with tau lacking
@@ -83,7 +86,10 @@ integer grid, where points outside the seed window tie the k-th
 distance, the answers must stay those of the per-row scan while the cut
 drops candidates, and a strict ``<`` cut fails. Tracemalloc guards keep
 the sweep-shape kd query (8000 x 3, k 76, 2000 rows) below 3.75 MiB and
-the normal 20000 x 8, k 10 one (300 rows) below 2 MiB.
+the normal 20000 x 8, k 10 one (300 rows) below 2 MiB, and the brute-force
+query at 20000 x 8, k 10 and 1000 rows below 3.25 MiB, with r = 31 rounds
+and with r = 1. On that shape the euclidean filter must admit at most
+1.5 k candidates per row.
 """
 
 import tracemalloc
@@ -328,15 +334,15 @@ def test_query_far_from_the_mean_takes_the_exact_loop():
     assert result.indices.tolist() == [[0]]
 
 
-# Families on training rows 0, s, 2s, ... (the columns the filter's K_i
-# sample reads), with the sampling constants patched so that s > 1.
-SAMPLED_FAMILIES = ("sampled rows far", "tie split by the sample", "copies of unsampled rows")
+# Families on the filter's column groups (column j < r G is in group j mod G),
+# with the per-k group constant patched so that r > 1.
+GROUPED_FAMILIES = ("far groups", "tie split by the group minima", "copies of ungrouped columns")
 HOSTILE_FAMILIES = ("cancellation", "ulp apart", "ties at the k-th", "integer grid",
-                    "subnormal", "1e-160", "1e150", "1e160", "one huge row", *SAMPLED_FAMILIES)
+                    "subnormal", "1e-160", "1e150", "1e160", "one huge row", *GROUPED_FAMILIES)
 # Families whose every query takes the euclidean filter; "one huge row"
 # sends every query to the exact loop instead.
 FILTERED_FAMILIES = ("cancellation", "ulp apart", "ties at the k-th", "integer grid",
-                     "subnormal", "1e-160", *SAMPLED_FAMILIES)
+                     "subnormal", "1e-160", *GROUPED_FAMILIES)
 
 
 def _hostile_rows(family, rng, rows, d):
@@ -363,50 +369,79 @@ def _hostile_rows(family, rng, rows, d):
     return points * float(family)
 
 
-def _sampled_case(family, rng):
-    """(training points, query rows, k, s) for a family of
-    ``SAMPLED_FAMILIES``, with k <= n // s, so that a K_i sample of
-    stride s holds at least k columns."""
-    s = int(rng.integers(2, 5))
-    n = int(rng.integers(2 * s, 200))
-    k = int(rng.integers(1, n // s + 1))
-    d = int(rng.integers(1, 9))
-    unsampled = np.flatnonzero(np.arange(n) % s)
-    m = int(rng.integers(1, 13))
-    if family == "sampled rows far":  # K_i is huge, so nearly every column is a candidate
+def _grouped_case(family, rng):
+    """(training points, query rows, k, r) for a family of
+    ``GROUPED_FAMILIES``. With the per-k group constant patched to 1, the
+    filter takes r = n // k > 1 rounds of G = n // r >= k groups: n is
+    r k plus less than k, and the last n - r G columns are in no group."""
+    k, r = int(rng.integers(1, 16)), int(rng.integers(2, 5))
+    if family == "copies of ungrouped columns":  # n - r G = n mod r must be at least 1
+        k = max(k, 2)
+        extra = int(rng.choice([e for e in range(1, k) if e % r]))
+    else:
+        extra = int(rng.integers(0, k))
+    n = r * k + extra
+    groups = n // r
+    d, m = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+    if family == "far groups":  # K_i is huge, so nearly every column is a candidate
         points = rng.normal(size=(n, d))
-        points[::s] += 1e3
+        near = rng.choice(groups, size=k - 1, replace=False)
+        far = (np.arange(n) < r * groups) & ~np.isin(np.arange(n) % groups, near)
+        points[far] += 1e3
         fresh = rng.normal(size=(m, d))
-        copies = points[rng.choice(unsampled, size=m)]
-        return points, np.where(rng.random((m, 1)) < 0.5, fresh, copies), k, s
-    if family == "tie split by the sample":
-        # k - 1 rows at the query, then rows at one distance on both sides
-        # of the sample, then far rows; grid coordinates keep the tie exact
+        copies = points[rng.choice(np.flatnonzero(~far) if not far.all() else n, size=m)]
+        return points, np.where(rng.random((m, 1)) < 0.5, fresh, copies), k, r
+    if family == "tie split by the group minima":
+        # k - 1 rows at the query, then rows at one distance: two members of
+        # one group, or one member and a column in no group; then far rows.
+        # Grid coordinates keep the tie exact
         q = rng.integers(-3, 4, size=d).astype(float)
         tie = q + np.eye(d)[0]
         points = q + 3.0 * rng.choice([-1.0, 1.0], size=(n, d))
-        sampled = s * int(rng.integers(0, (n - 1) // s + 1))
-        rest = rng.permutation(np.setdiff1d(np.arange(n), [sampled, unsampled[0]]))
-        points[[sampled, unsampled[0], *rest[:int(rng.integers(0, 3))]]] = tie
+        first = int(rng.integers(0, groups))
+        second = (int(rng.integers(r * groups, n)) if n > r * groups and rng.random() < 0.5
+                  else first + groups * int(rng.integers(1, r)))
+        rest = rng.permutation(np.setdiff1d(np.arange(n), [first, second]))
+        points[[first, second, *rest[:int(rng.integers(0, 3))]]] = tie
         points[rest[len(rest) - k + 1:]] = q
-        return points, np.tile(q, (m, 1)), k, s
-    # "copies of unsampled rows": each query is at distance 0 from an
-    # unsampled row only
+        return points, np.tile(q, (m, 1)), k, r
+    # "copies of ungrouped columns": each query is at distance 0 from a
+    # column in no group only
     base = ("cancellation", "ulp apart", "integer grid")[int(rng.integers(0, 3))]
     points = _hostile_rows(base, rng, n, d)
-    return points, points[rng.choice(unsampled, size=m)], k, s
+    return points, points[rng.integers(r * groups, n, size=m)], k, r
+
+
+def _record_filter_calls(mp, rounds):
+    """Patch, through ``mp``, the per-k group constant to 1 where ``rounds``
+    is not None, so that the filter takes r = n // k, and
+    ``BruteForceIndex._filter_block`` to record each call; returns the
+    lists of each call's query-row count and r."""
+    if rounds is not None:
+        mp.setattr(neighbors, "_GROUPS_PER_K", 1)
+    filtered, received = [], []
+    filter_block = BruteForceIndex._filter_block
+
+    def counted(self, sel, centered, spread, k, r, *buffers):
+        filtered.append(len(sel))
+        received.append(r)
+        return filter_block(self, sel, centered, spread, k, r, *buffers)
+
+    mp.setattr(BruteForceIndex, "_filter_block", counted)
+    return filtered, received
 
 
 @st.composite
 def hostile_cases(draw, family):
-    """(training points, query rows, k, rows per block, K_i sample stride
-    to patch in or None): queries copy training rows or are four fresh
-    rows of the same family. Sizes come from the drawn seed, so that
-    derandomized runs spread over them."""
+    """(training points, query rows, k, rows per block, and the filter's
+    rounds r with the per-k group constant patched to 1, or None where it
+    is not patched): queries copy training rows or are four fresh rows of
+    the same family. Sizes come from the drawn seed, so that derandomized
+    runs spread over them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if family in SAMPLED_FAMILIES:
-        points, queries, k, stride = _sampled_case(family, rng)
-        return points, queries, k, int(rng.integers(1, 4)), stride
+    if family in GROUPED_FAMILIES:
+        points, queries, k, rounds = _grouped_case(family, rng)
+        return points, queries, k, int(rng.integers(1, 4)), rounds
     # with n = 1 the huge row would be the mean, at distance 0
     n = 1 if family != "one huge row" and rng.random() < 0.1 else int(rng.integers(2, 200))
     d = int(rng.integers(1, 9))
@@ -420,28 +455,17 @@ def hostile_cases(draw, family):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_euclidean_filter_equals_per_row_scan_and_kd_tree_on_hostile_inputs(family, data):
-    points, queries, k, block, stride = data.draw(hostile_cases(family))
+    points, queries, k, block, rounds = data.draw(hostile_cases(family))
     index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
-    filtered, strides = [], set()
-    filter_block = BruteForceIndex._filter_block
-
-    def counted(self, sel, centered, spread, k, sample_stride, *buffers):
-        filtered.append(len(sel))
-        strides.add(sample_stride)
-        return filter_block(self, sel, centered, spread, k, sample_stride, *buffers)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BruteForceIndex, "_filter_block", counted)
+        filtered, received = _record_filter_calls(mp, rounds)
         # at most 64 products' M*N*K: every product runs in several column slices
         mp.setattr(neighbors, "_PRODUCT_SIZE", 64)
-        if stride is not None:  # s = min(stride, n // k), which is stride here
-            mp.setattr(neighbors, "_SAMPLE_STRIDE", stride)
-            mp.setattr(neighbors, "_SAMPLE_COLUMNS_PER_K", 1)
         result = _query_blocked(index, queries, k, block)
     if family in FILTERED_FAMILIES:
         assert sum(filtered) == len(queries)
-    if family in SAMPLED_FAMILIES:
-        assert strides == {stride} and stride > 1
+    if family in GROUPED_FAMILIES:
+        assert set(received) == {rounds} and rounds > 1
     if family == "one huge row":
         assert not filtered
     _assert_equals_per_row_oracle(result, index, queries, k)
@@ -665,18 +689,16 @@ def test_grouped_ranking_equals_per_row_scan_on_both_backends(family, rank_entri
     # block would take them past 128 entries; the bytes must not depend on it
     if family == "tree":
         points, queries, k = data.draw(tree_cases())[:3]
-        metric, stride = data.draw(st.sampled_from(NUMERIC_METRICS)), None
+        metric, rounds = data.draw(st.sampled_from(NUMERIC_METRICS)), None
     else:
-        points, queries, k, _, stride = data.draw(hostile_cases(family))
+        points, queries, k, _, rounds = data.draw(hostile_cases(family))
         metric = DistanceMetric.EUCLIDEAN
     block, tree_rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
     tree_levels = data.draw(st.sampled_from(TREE_LEVELS))
     brute = BruteForceIndex(points, metric)
     tree = _capped_tree(points, metric, data.draw(st.sampled_from(TREE_DEPTHS)))
     with pytest.MonkeyPatch.context() as mp:
-        if stride is not None:
-            mp.setattr(neighbors, "_SAMPLE_STRIDE", stride)
-            mp.setattr(neighbors, "_SAMPLE_COLUMNS_PER_K", 1)
+        _, received = _record_filter_calls(mp, rounds)
         result, brute_rows = _ranked_rows(brute, queries, k, block, tree_rows, tree_levels,
                                           rank_entries)
         tree_result, tree_rows_ranked = _ranked_rows(tree, queries, k, block, tree_rows,
@@ -687,6 +709,8 @@ def test_grouped_ranking_equals_per_row_scan_on_both_backends(family, rank_entri
         assert len(brute_rows) <= 1 and tree_rows_ranked == [len(queries)]
     if family in FILTERED_FAMILIES:
         assert sum(brute_rows) == len(queries)
+    if family in GROUPED_FAMILIES:
+        assert set(received) == {rounds} and rounds > 1
     _assert_equals_per_row_oracle(result, brute, queries, k)
     assert result.indices.tobytes() == tree_result.indices.tobytes()
     assert result.distances.tobytes() == tree_result.distances.tobytes()
@@ -935,6 +959,50 @@ def test_kd_query_peaks_below_2_mib_at_20000_x_8():
     brute = BruteForceIndex(points, DistanceMetric.EUCLIDEAN).query(queries, 10)
     assert result.indices.tobytes() == brute.indices.tobytes()
     assert result.distances.tobytes() == brute.distances.tobytes()
+
+
+@pytest.mark.parametrize("groups_per_k", [64, 2**20])
+def test_brute_force_query_peaks_below_3_25_mib_at_20000_x_8(groups_per_k):
+    # normal 20000 x 8, k 10, 1000 rows: 3154 KiB with r = 31 rounds of G = 645
+    # groups, 3179 KiB with the per-k constant patched so that r = 1 and G = n
+    # (a sample of every 4th column: 3064 KiB). The group minima are written
+    # into a scratch buffer: a (B, G) array made per block adds 480 KiB at r = 1
+    rng = np.random.default_rng(29)
+    points, queries = rng.normal(size=(20_000, 8)), rng.normal(size=(1000, 8))
+    index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_GROUPS_PER_K", groups_per_k)
+        tracemalloc.start()
+        try:
+            index.query(queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3.25 * 2**20
+
+
+def test_euclidean_filter_admits_about_k_candidates_per_row_at_20000_x_8():
+    # K_i from the minima of F over G = 645 groups admits about k (1 + k / 2G)
+    # candidates per row, 10.1 here; the k-th smallest F over every 4th
+    # column admitted about 4k
+    rng = np.random.default_rng(11)
+    points, queries = rng.normal(size=(20_000, 8)), rng.normal(size=(1000, 8))
+    index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+    counts = []
+    filter_block = BruteForceIndex._filter_block
+
+    def counted(self, *args):
+        block = filter_block(self, *args)
+        counts.append(block[2].sum())
+        return block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BruteForceIndex, "_filter_block", counted)
+        result = index.query(queries, 10)
+    assert sum(counts) <= 1.5 * 10 * len(queries)
+    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN).query(queries, 10)
+    assert result.indices.tobytes() == tree.indices.tobytes()
+    assert result.distances.tobytes() == tree.distances.tobytes()
 
 
 def test_kd_tree_at_the_density_shape_has_2_to_the_10_leaves():
