@@ -30,7 +30,8 @@ _BACKENDS = {
 
 
 def _comma_list(text: str) -> list[str]:
-    return [part for part in text.split(",") if part]
+    # stripped like the header names they must match: "c1, c2" names c1 and c2
+    return [name for name in (part.strip() for part in text.split(",")) if name]
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

@@ -41,10 +41,10 @@ _LEAF_SIZE = 16
 # 66, 68 and 88 ms at depth 8-11 and uncapped (13); up to 2^14 rows never reach it.
 _TREE_MAX_DEPTH = 10
 # Byte cap on each (block x n) buffer of the blocked brute-force kernel; the euclidean
-# filter's float32 product fills half of one, and the float32 copy of the points it reads
-# (d n 4 bytes, made once per call) is outside the cap. The kd-tree's buffers take a quarter
-# of it, and each piece of a kd block fits its candidates in one. Both reuse them per call:
-# per-block buffers raised predict_brute_d8 peak_rss_mb 1.4-1.7 MiB.
+# filter's float32 product fills half of one, and the float32 copy of the points and their
+# norms it reads ((d + 1) n 4 bytes, made once per call) is outside the cap. The kd-tree's
+# buffers take a quarter of it, and each piece of a kd block fits its candidates in one.
+# Both reuse them per call: per-block buffers raised predict_brute_d8 peak_rss_mb 1.4-1.7 MiB.
 _BLOCK_BYTES = 1 << 20
 # Rows with S / sigma^2 + W_i at or below this have finite distances and may take the
 # euclidean filter, which also needs sigma^2 W_i <= 2^100 for its float32 product (see
@@ -69,9 +69,10 @@ _TREE_BLOCK_LEVELS = 8
 # entries, never past 4x it unless one block alone is. 20000 x 8, k 10: 17 groups, not 167,
 # query ~20% faster (3 since K_i came from group minima); 2^13 slowed 8000 x 3, k 76.
 _RANK_ENTRIES = 1 << 12
-# The euclidean filter's product runs in column slices of at most this M*N*K. OpenBLAS
-# put slices of 2^20 on 2 threads in 27 of 30 processes ((6, 9) @ (9, 19418)), 10^6 in 0 of 30;
-# in float32, 2^20 in 26 of 30 (4 stalled about 1 s) and 10^6 in 0 of 30 (20000 x 9 queries).
+# The euclidean filter's product runs in column slices of at most this M*N*K, with K = d + 1
+# (the norms row): two slices at 20000 x 8. OpenBLAS put slices of 2^20 on 2 threads in 27 of
+# 30 processes ((6, 9) @ (9, 19418)), 10^6 in 0 of 30; in float32, 2^20 in 26 of 30 (4 stalled
+# about 1 s) and 10^6 in 0 of 30. Unsliced, (6, 9) @ (9, 20000) took 134-149 us, sliced 29-32.
 _PRODUCT_SIZE = 10**6
 
 
@@ -346,20 +347,25 @@ class BruteForceIndex(_IndexBase):
     float): every |sigma x'_j| is then below 1. Each training row keeps
     s = fl(|sigma x'|^2) as the float32 fl32(s (1 - c)), and S = max s.
     A query call that routes any row to the filter first makes the float32
-    (d, n) copy Y = fl32(sigma fl(x - mu)) of the points, one column at a
-    time; it is dropped when the call returns, so the index never holds
+    (d + 1, n) copy [Y; fl32(s (1 - c))] of the points: Y = fl32(sigma
+    fl(x - mu)), one column at a time, over the stored norms as its last
+    row; it is dropped when the call returns, so the index never holds
     it. Per query row, q' = fl(q - mu), W = fl(|q'|^2) and, in sigma
-    units, w = fl(|sigma q'|^2), in float64. Per block,
-    F = fl32(-2 sigma q') @ Y + fl32(s (1 - c)) is a float32 BLAS product,
-    in column slices of at most _PRODUCT_SIZE multiply-adds (one slice at
-    20000 x 8), and one float32 addition, in a float32 view of a float64
-    buffer. K_i is the k-th smallest of row i's minima of F over G = n // r
-    groups, r = max(1, n // (64 k)), column j < r G in group j mod G; any
-    column j is a candidate for row i when F_ij <= K_i + 2c (S + w_i) + 2 tau:
-    the bound is computed in float64 and rounded up to a float32, so that
-    the compare stays in float32. That is about k (1 + k / 2G) candidates
-    per row, whose distances alone are computed, from the raw coordinates
-    in the scalar order, and ranked by ``_rank``, blocks together.
+    units, w = fl(|sigma q'|^2), in float64. Once per call, each filtered
+    row's [fl32(-2 sigma q'), 1] is rounded to float32 and its
+    T_i = fl(fl(2c) fl(S + w_i)) taken in float64. Per block,
+    F = [fl32(-2 sigma q'), 1] @ [Y; fl32(s (1 - c))] is one float32 BLAS
+    product, which carries the norms in its sum, in column slices of at
+    most _PRODUCT_SIZE multiply-adds counted with K = d + 1 (two slices at
+    20000 x 8), in a float32 view of a float64 buffer. K_i is the k-th
+    smallest of row i's minima of F over G = n // r groups,
+    r = max(1, n // (64 k)), column j < r G in group j mod G; any column j
+    is a candidate for row i when F_ij <= K_i + 2c (S + w_i) + 2 tau: the
+    bound fl(fl(K_i + T_i) + 2 tau) is computed in float64 and rounded up
+    to a float32, so that the compare stays in float32. That is about
+    k (1 + k / 2G) candidates per row, whose distances alone are computed,
+    from the raw coordinates in the scalar order, and ranked by ``_rank``,
+    blocks together.
     Here c = (4d + 128) 2^-24 and tau = (d + 2) (2^-100 + sigma^2 2^-1000).
     A row takes the filter where d <= 2^16, S / sigma^2 + W <= 2^1000,
     which keeps every ranked distance finite (where the k-th is inf, every
@@ -406,10 +412,11 @@ class BruteForceIndex(_IndexBase):
        |z_j| lambda <= v z_j^2 / 2 + lambda^2 / (2 v). As
        |z|.|y| <= r + sigma^2 |x'|^2, L.Y is within
        2.03 v (r + sigma^2 |x'|^2) + 2.02 v r + 1.02 d lambda of z.y.
-    4. Product, float32. F sums the d products L_j Y_j and
-       fl32(s (1 - c)), which is within 1.01 v s + lambda of s (1 - c):
-       d + 1 terms, so within gamma_(d+1) times their magnitudes plus
-       2.02 d lambda of their exact sum.
+    4. Product, float32. F is one inner product of d + 1 terms, the d
+       products L_j Y_j and 1 times fl32(s (1 - c)), an exact product;
+       fl32(s (1 - c)) is within 1.01 v s + lambda of s (1 - c). So F is
+       within gamma_(d+1) times the terms' magnitudes plus
+       2 (d + 1) lambda of their exact sum.
 
     With G = F + r + c s, G - D~ = (F - L.Y - fl32(s (1 - c)))
     + (L.Y - z.y) + (fl32(s (1 - c)) - (1 - c) s) + (s - a)
@@ -496,15 +503,23 @@ class BruteForceIndex(_IndexBase):
             filtered = (self._max_norm + spread <= _FILTER_LIMIT) & (scaled <= 2.0**100)
             fast = np.flatnonzero(filtered)
             if fast.size:
-                # Y, made per call so that the index holds one copy of its points; at
-                # 20000 x 8 a multiply and then a cast took 134 us, a casting multiply 168
-                points = np.empty((self.dim, n), dtype=np.float32)
+                # [Y; norms], made per call so that the index holds one copy of its points;
+                # at 20000 x 8 a multiply and then a cast took 134 us, a casting multiply 168
+                points = np.empty((self.dim + 1, n), dtype=np.float32)
                 for column, mean, out in zip(self._columns, self._mean, points):
                     out[:] = np.multiply(np.subtract(column, mean, out=acc[:n]), self._scale,
                                          out=acc[:n])
+                points[-1] = self._norms
+                lhs = np.ones((fast.size, self.dim + 1), dtype=np.float32)
+                np.multiply(centered[fast], -2.0, out=lhs[:, :-1])  # rounded once, to float32
+                del centered  # the blocks read lhs: 62 KiB less peak at 20000 x 8, 1000 rows
+                # T = fl(fl(2c) fl(S + w)), in place of w
+                slack = np.multiply(np.add(scaled, self._scaled_max, out=scaled),
+                                    2 * self._slack, out=scaled)[fast]
                 rounds = max(1, n // (_GROUPS_PER_K * k))
-                blocks = (self._filter_block(fast[start:start + block], centered, scaled, k,
-                                             rounds, points, acc, scratch, mask)
+                blocks = (self._filter_block(fast[start:start + block], lhs[start:start + block],
+                                             slack[start:start + block], k, rounds, points,
+                                             acc, scratch, mask)
                           for start in range(0, fast.size, block))
                 self._rank(rows, blocks, k, indices, distances, acc, scratch, mask)
             exact = np.flatnonzero(~filtered)
@@ -515,25 +530,23 @@ class BruteForceIndex(_IndexBase):
             indices[sel], distances[sel] = _nearest_k(dist, k, _view(scratch, b, n),
                                                       _view(mask, b, n))
 
-    def _filter_block(self, sel, centered, spread, k, rounds, points, acc, scratch, mask):
+    def _filter_block(self, sel, lhs, slack, k, rounds, points, acc, scratch, mask):
         """The candidate block (sel, columns, counts, None) of the
         euclidean filter for the query rows ``sel``; see the class
-        docstring. ``centered`` holds sigma q' and ``spread`` w for
-        every query row, ``points`` is the float32 copy Y, and K_i comes
-        from the minima of F over the n // ``rounds`` column groups."""
+        docstring. ``lhs`` holds the rows [fl32(-2 sigma q'), 1] and
+        ``slack`` T of the rows ``sel``, ``points`` is the float32 copy
+        [Y; fl32(s (1 - c))], and K_i comes from the minima of F over the
+        n // ``rounds`` column groups."""
         b, n = sel.size, self.n_points
-        lhs = (centered[sel] * -2.0).astype(np.float32)
         approx = _view(acc.view(np.float32), b, n)
-        step = max(1, _PRODUCT_SIZE // (b * self.dim))
+        step = max(1, _PRODUCT_SIZE // (b * lhs.shape[1]))
         for s in range(0, n, step):
             np.matmul(lhs, points[:, s:s + step], out=approx[:, s:s + step])
-        approx += self._norms
         groups = n // rounds  # column j < rounds G is in group j mod G
         minima = _view(scratch.view(np.float32), b, groups)  # in scratch, also where G = n
         np.minimum.reduce(approx[:, :rounds * groups].reshape(b, rounds, groups), 1, out=minima)
         minima.partition(k - 1, axis=1)
-        bound = (minima[:, k - 1] + 2 * self._slack * (self._scaled_max + spread[sel])
-                 + 2 * self._floor)
+        bound = minima[:, k - 1] + slack + 2 * self._floor
         # rounded up to float32: a float64 bound would promote the whole (b, n) compare
         bound = np.nextafter(bound.astype(np.float32), np.float32(np.inf))
         # flatnonzero: on a (1, 100000) mask 2-d nonzero took 0.3-1.2 ms, this 0.03-0.09 ms

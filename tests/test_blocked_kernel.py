@@ -37,7 +37,16 @@ its sigma^2 term the filter returns row 1), a column of spread 1e-30 or
 orders tied rows, spreads of 1e-300 and 1e150, and a query 2^55 spreads
 from the mean, which must take the exact loop, as must a query 1e87
 spreads out whose squared distance from the mean underflows to 0, while
-one 2^40 spreads away takes the filter.
+one 2^40 spreads away takes the filter. At d = 16, where the product's
+inner dimension is d + 1 = 17 with the norms as its last term, six of the
+families must give the per-row scan's bytes with every product cut into
+column slices; with the norms row or the ones column of the product
+zeroed, these and dozens more fail. Queries that alternate between
+copies of training rows and a far point, 2^10 to 2^20 spreads out,
+whose nearest rows lie on a shell with radii under 1e-7 apart, check
+that each row's bound takes its own slack T = 2c (S + w): F's float32
+rounding reorders the shell by more than the slack of a near row, so a
+T shifted or reversed by one row fails.
 
 ``KdTreeIndex.query`` is checked the same way on trees with two or more
 levels (n from 17 to 300, d from 1 to 8), with the tree's query-block
@@ -334,6 +343,76 @@ def test_query_far_from_the_mean_takes_the_exact_loop():
     assert result.indices.tolist() == [[0]]
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", ["cancellation", "ulp apart", "ties at the k-th",
+                                    "integer grid", "subnormal", "1e-160"])
+def test_filter_product_carries_the_norms_at_d_16(family, seed):
+    # The hostile families draw d from 1 to 8; at d = 16 the product's inner
+    # dimension is K = d + 1 = 17, the norms riding as its last term, and
+    # the patched slice size cuts every product into slices of 10-30 columns
+    rng = np.random.default_rng([16, seed])
+    n, d, block = int(rng.integers(40, 200)), 16, int(rng.integers(1, 4))
+    rows = _hostile_rows(family, rng, n + 6, d)
+    points = rows[:n]
+    queries = np.concatenate([rows[n:], points[rng.integers(0, n, size=6)]])
+    k = int(rng.integers(1, n + 1))
+    index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+    products = []
+    filter_block = BruteForceIndex._filter_block
+
+    def counted(self, sel, lhs, slack, k, rounds, copy, *buffers):
+        products.append((sel.size, lhs.shape, copy.shape))
+        return filter_block(self, sel, lhs, slack, k, rounds, copy, *buffers)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BruteForceIndex, "_filter_block", counted)
+        mp.setattr(neighbors, "_PRODUCT_SIZE", 3 * 17 * 10)
+        result = _query_blocked(index, queries, k, block)
+    assert sum(b for b, _, _ in products) == len(queries)
+    assert all(lhs == (b, 17) and copy == (17, n) and b <= 3 for b, lhs, copy in products)
+    _assert_equals_per_row_oracle(result, index, queries, k)
+    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN).query(queries, k)
+    assert result.indices.tobytes() == tree.indices.tobytes()
+    assert result.distances.tobytes() == tree.distances.tobytes()
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_each_filtered_row_takes_its_own_slack(d):
+    # Queries alternate between copies of training rows and a far point
+    # q = M (1, ..., 1) / sqrt(d), M = 2^10 to 2^20, and 40 training rows lie
+    # on a shell about q whose radii differ by under 1e-7: there, F's float32
+    # rounding, of order 2^-24 |L| per term, reorders rows by more than one
+    # float32 step. The far rows' own 2c (S + w) covers it; a near row's,
+    # about 2^-15, does not, so a far row that took its neighbor's slack
+    # would drop a row of its k nearest.
+    for seed in range(8):
+        rng = np.random.default_rng([18, seed])
+        n, radius = 200, 2.0 ** int(rng.integers(10, 21))
+        points = rng.normal(size=(n, d))
+        axis = np.ones(d) / np.sqrt(d)
+        shell = rng.choice(n, size=40, replace=False)
+        tangent = rng.normal(size=(40, d))
+        tangent -= np.outer(tangent @ axis, axis)
+        tangent *= rng.uniform(0, 1, size=(40, 1)) / np.linalg.norm(tangent, axis=1)[:, None]
+        radii = radius - 2 + 1e-7 * rng.random((40, 1))
+        far = radius * axis
+        inward = np.sqrt(radii**2 - (tangent * tangent).sum(1, keepdims=True))
+        points[shell] = far - inward * axis + tangent
+        queries = np.empty((12, d))
+        queries[0::2], queries[1::2] = points[rng.integers(0, n, size=6)], far
+        k = int(rng.integers(2, 30))
+        index = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+        tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN).query(queries, k)
+        for block in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                filtered, _ = _record_filter_calls(mp, None)
+                result = _query_blocked(index, queries, k, block)
+            assert sum(filtered) == len(queries)
+            _assert_equals_per_row_oracle(result, index, queries, k)
+            assert result.indices.tobytes() == tree.indices.tobytes()
+            assert result.distances.tobytes() == tree.distances.tobytes()
+
+
 # Families on the filter's column groups (column j < r G is in group j mod G),
 # with the per-k group constant patched so that r > 1.
 GROUPED_FAMILIES = ("far groups", "tie split by the group minima", "copies of ungrouped columns")
@@ -422,10 +501,10 @@ def _record_filter_calls(mp, rounds):
     filtered, received = [], []
     filter_block = BruteForceIndex._filter_block
 
-    def counted(self, sel, centered, spread, k, r, *buffers):
+    def counted(self, sel, lhs, slack, k, r, *buffers):
         filtered.append(len(sel))
         received.append(r)
-        return filter_block(self, sel, centered, spread, k, r, *buffers)
+        return filter_block(self, sel, lhs, slack, k, r, *buffers)
 
     mp.setattr(BruteForceIndex, "_filter_block", counted)
     return filtered, received

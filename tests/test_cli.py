@@ -91,6 +91,22 @@ class TestSweepCommand:
         assert proc.returncode == 0, proc.stderr
         assert len(table.read_text().splitlines()) == 9
 
+    def test_categorical_names_are_stripped_like_the_header(self, tmp_path):
+        # the header's names are stripped, so "c1, c2" must name c1 and c2
+        data = tmp_path / "cats.csv"
+        data.write_text("c1,c2,y\nred,a,1\nblue,b,2\nred,b,3\ngreen,a,4\nblue,a,5\n")
+        tables = []
+        for names in ("c1,c2", "c1, c2", " c1 ,,c2, "):
+            table = tmp_path / f"t{len(tables)}.csv"
+            proc = run_cli(
+                "sweep", "--data", data, "--target", "y", "--categorical", names,
+                "--metric", "hamming", "--backend", "brute", "--k-min", "1", "--k-max", "2",
+                "--split", "0.6", "--out-table", table,
+            )
+            assert proc.returncode == 0, proc.stderr
+            tables.append((proc.stdout, table.read_bytes()))
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+
     def test_hamming_with_kdtree_is_domain_error(self, tmp_path):
         data = tmp_path / "cats.csv"
         data.write_text("c1,y\nred,1\nblue,2\nred,3\ngreen,4\n")
