@@ -36,7 +36,7 @@ from .dataset import ColumnKind, Dataset
 from .distance import DistanceMetric, hamming, manhattan, squared_euclidean
 
 _LEAF_SIZE = 16
-# The kd build also stops at this depth: every query block bounds every leaf's box, so
+# The kd build also stops at this depth: every query sub-block bounds every leaf's box, so
 # large training sets get larger leaves. 100000 x 2, k 10: build and query took 83, 67,
 # 66, 68 and 88 ms at depth 8-11 and uncapped (13); up to 2^14 rows never reach it.
 _TREE_MAX_DEPTH = 10
@@ -47,20 +47,24 @@ _TREE_MAX_DEPTH = 10
 # Both reuse them per call: per-block buffers raised predict_brute_d8 peak_rss_mb 1.4-1.7 MiB.
 _BLOCK_BYTES = 1 << 20
 # Rows with S / sigma^2 + W_i at or below this have finite distances and may take the
-# euclidean filter, which also needs sigma^2 W_i <= 2^100 for its float32 product (see
-# BruteForceIndex); other rows take the exact loop.
+# euclidean filter, which also needs w_i = fl(|sigma q'_i|^2) <= 2^100 for its float32
+# product, taken in sigma units as sigma^2 W_i underflows to 0 (see BruteForceIndex); other
+# rows take the exact loop.
 _FILTER_LIMIT = 2.0**1000
 # The euclidean filter takes each row's K_i from G = n // r minima of F over groups of
 # r = max(1, n // (_GROUPS_PER_K k)) columns (see BruteForceIndex). On 20000 x 8, k 10,
 # 1000 queries, G = 2k, 4k, 8k, 16k, 32k, 64k, 128k took 33.4, 25.2, 18.3, 16.2, 15.8, 15.5,
 # 16.0 ms (K_i over every 4th column: 22.5-23.0 ms); a min-reduce over a short axis is slow.
 _GROUPS_PER_K = 64
-# Query rows the kd-tree searches together. Rows are sorted by home leaf,
-# so a small block stays spatially compact and its leaf filter stays tight.
-# 16, 24, 32, 64 rows took 45, 41, 40, 42 ms at 8000 x 3, k 76; 23, 18, 17, 13 ms at
-# 100000 x 2, k 10; 16, 15, 15, 16 ms at normal 20000 x 3, k 10.
+# Query rows per kd sub-block, the unit of the box-to-box leaf filter. Rows are sorted by
+# home leaf, so a small sub-block stays spatially compact and its leaf filter tight; blocks
+# then merge sub-blocks while their scan fits a buffer half (see KdTreeIndex). As the only
+# block size, 16, 24, 32, 64 rows took 45, 41, 40, 42 ms at 8000 x 3, k 76; 23, 18, 17,
+# 13 ms at 100000 x 2, k 10; 16, 15, 15, 16 ms at normal 20000 x 3, k 10. Merged, the
+# 100000 x 2 query ranks about 39 pieces, not 64, in 0.85x the time; 8000 x 3, k 76 and
+# normal 20000 x 3, 20000 x 6 and 50000 x 3, k 10 read 0.97-1.02x.
 _TREE_BLOCK_ROWS = 32
-# A block also ends where its rows leave one subtree of 2^this leaves, so it never
+# A sub-block also ends where its rows leave one subtree of 2^this leaves, so it never
 # straddles a higher split and keeps leaves on both sides. 60 paired queries with no cut
 # took 2.9% longer at 100000 x 2, k 10 (1024 leaves; 2 of 3 seeds), 2.8-7.0% at normal
 # 20000 x 3, k 10; 6-9 timed alike; sweep_kd_d3's (8000 x 3, k 76) stays flat.
@@ -573,22 +577,27 @@ class KdTreeIndex(_IndexBase):
     Search, the query-block form of dual-tree search (Gray & Moore, NIPS
     2000): every query walks down to its home leaf in D vectorized steps,
     and the rows are sorted by home leaf, so consecutive rows are close in
-    space. A block takes up to _TREE_BLOCK_ROWS consecutive rows and ends
-    early where the next row's home leaf leaves the subtree of
+    space. A sub-block takes up to _TREE_BLOCK_ROWS consecutive rows and
+    ends early where the next row's home leaf leaves the subtree of
     2^_TREE_BLOCK_LEVELS leaves that holds its first row's: its rows then
-    lie in that subtree's cell, so no block straddles a split above it and
-    keeps leaves on both of its sides in step 2. Steps 1 and 2 run before
-    the block loop, each in a few large vectorized passes:
+    lie in that subtree's cell, so no sub-block straddles a split above it
+    and keeps leaves on both of its sides in step 2. A block takes
+    consecutive sub-blocks of one subtree, bounded in one pass of step 2,
+    while its rows times the live leaves of their union stay at most C / 2,
+    C the entries of a _BLOCK_BYTES // 4 buffer: the size of the buffer
+    halves that step 3's per-row bound matrix is written into. Steps 1 and
+    2 run before the block loop, each in a few large vectorized passes:
 
     1. seed each query's bound with the k-th smallest distance to the first
        max(2k, g s) real points (at most n, shifted left to end by the last)
        of its home leaf's aligned subtree of g leaves: s is the smallest leaf
        size, g the least power of two with g s >= 2k, at most the leaf count;
-    2. keep, per block, the leaves whose box-to-box bound from the block's
-       query box is ``<=`` the block's largest seed bound;
-    3. take as candidates the points of every (query, leaf) pair whose
-       point-to-box bound (Friedman, Bentley & Finkel, ACM TOMS 1977) is
-       ``<=`` that query's seed bound;
+    2. keep, per sub-block, the leaves whose box-to-box bound from the
+       sub-block's query box is ``<=`` the sub-block's largest seed bound;
+       a block's live leaves are the union of its sub-blocks';
+    3. take as candidates the points of every (query, live leaf of its
+       block) pair whose point-to-box bound (Friedman, Bentley & Finkel,
+       ACM TOMS 1977) is ``<=`` that query's seed bound;
     4. hand them, with each query's seed bound, to ``_rank``, the
        brute-force filter's last step, which computes each candidate's
        distance once, drops those above their query's seed bound, and
@@ -601,20 +610,20 @@ class KdTreeIndex(_IndexBase):
     The cut in step 4 is exact too: ``_rank`` computes each distance by
     the IEEE steps of the seed, so the k seed points pass ``<=`` again, and
     every point that ties or beats the true k-th distance is at or below
-    the seed bound. How rows are cut into blocks changes no candidate: a
-    query's seed window and bound depend on its home leaf alone, and it
-    scans exactly the leaves whose point-to-box bound is within its seed
-    bound, as step 2 keeps every such leaf (the block's query box holds
-    the query, and the block's largest seed bound is at or above its own).
+    the seed bound. How rows are cut into sub-blocks and blocks changes no
+    candidate: a query's seed window and bound depend on its home leaf
+    alone, and it scans exactly the leaves whose point-to-box bound is
+    within its seed bound. Step 2 keeps every such leaf for its sub-block
+    (the sub-block's query box holds the query, and the sub-block's
+    largest seed bound is at or above its own), and its block's live
+    leaves are a superset of its sub-block's, in the same leaf order.
     At 8000 x 3 and k 76, a query scans about 415 points and ranks 150.
     Step 3 scans a block's rows once, and yields them in pieces of
-    max(1, C // c) rows, C the entries of a _BLOCK_BYTES // 4 buffer and c
-    the block's largest row count: a piece's padded candidates fit one
-    buffer unless one row alone needs more. Its rows keep their scans of
-    the block's leaves, a superset of their own, so step 3 is unchanged.
-    ``_rank`` ranks groups of blocks in the seed buffers: a group holds at
-    most 4 _RANK_ENTRIES entries, half the default cap, unless one block
-    alone holds more.
+    max(1, C // c) rows, c the largest candidate count of the block's
+    rows: a piece's padded candidates fit one buffer unless one row alone
+    needs more. ``_rank`` ranks groups of pieces in the seed buffers: a
+    group holds at most 4 _RANK_ENTRIES entries, half the default cap,
+    unless one piece alone holds more.
     """
 
     def __init__(self, points, metric):
@@ -715,21 +724,31 @@ class KdTreeIndex(_IndexBase):
                                    _view(lower, b, width))
             seed.partition(k - 1, axis=1)
             bound[s:s + b] = seed[:, k - 1]
-        # A block takes up to _TREE_BLOCK_ROWS rows and ends where its rows leave one
+        # A sub-block takes up to _TREE_BLOCK_ROWS rows and ends where its rows leave one
         # subtree of 2^_TREE_BLOCK_LEVELS leaves.
         first = np.searchsorted(home, (home >> _TREE_BLOCK_LEVELS) << _TREE_BLOCK_LEVELS)
         starts = np.flatnonzero((np.arange(m) - first) % _TREE_BLOCK_ROWS == 0)
         ends = np.append(starts[1:], m)
         step = max(1, cap // 2 // leaves)
         for c in range(0, starts.size, step):
-            # the leaves whose box is within each block's largest seed bound of its query box
+            # the leaves whose box is within each sub-block's largest seed bound of its query box
             at, chunk = starts[c:c + step] - starts[c], slice(starts[c], ends[c:c + step][-1])
             q = rows[order[chunk]]
             reach = np.maximum.reduceat(bound[chunk], at)
             near = box_bounds(self._lo, self._hi, np.minimum.reduceat(q, at),
                               np.maximum.reduceat(q, at)) <= reach[:, None]
+            # A block takes consecutive sub-blocks of one subtree while its rows x the live
+            # leaves of their union fit a buffer half, where the scan's bounds are written.
+            blocks = []
             for near_leaves, start, stop in zip(near, starts[c:c + step], ends[c:c + step]):
-                live = np.flatnonzero(near_leaves)
+                if blocks and first[start] == first[blocks[-1][0]]:
+                    union = blocks[-1][2] | near_leaves
+                    if (stop - blocks[-1][0]) * np.count_nonzero(union) <= cap // 2:
+                        blocks[-1] = blocks[-1][0], stop, union
+                        continue
+                blocks.append((start, stop, near_leaves))
+            for start, stop, union in blocks:
+                live = np.flatnonzero(union)
                 sel, q_bound = order[start:stop], bound[start:stop]
                 q = rows[sel]
                 # scan and counts are new arrays: _rank reuses the buffers between pieces

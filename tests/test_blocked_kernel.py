@@ -63,6 +63,11 @@ window in the aligned subtree around its home leaf, with the block
 settings at their defaults and patched. On a 2-d clustered tree of 2^10
 leaves, every block's rows must share one subtree of 2^_TREE_BLOCK_LEVELS
 leaves, and the blocks together must take the rows in home-leaf order.
+On that tree, sub-blocks must merge into blocks at the default buffer cap
+and at 16 times it, each merged block's rows times live leaves within half
+a buffer, and none at a 40-entry cap; at all three caps the answers must
+equal brute force on every row and the per-row scan on 20 rows spread
+over the home-leaf order.
 The kd build itself is checked array by array against a row-major
 reference build kept in this file, at every depth cap, and the invariant
 its pruning rests on directly: no leaf's box bound exceeds the computed
@@ -208,8 +213,9 @@ def test_exact_loop_copies_no_training_rows(metric):
 
 
 def test_euclidean_index_holds_one_copy_of_its_points():
-    # the filter's product reads the shared (d, n) column array in place;
-    # the filter adds the column means and one n-vector, not a second copy
+    # the filter's product reads a float32 copy made per query call and dropped
+    # when it returns; the index adds the column means and one float32 n-vector,
+    # not a second copy
     n, d = 20_000, 8
     points = np.random.default_rng(6).normal(size=(n, d))
     tracemalloc.start()
@@ -675,6 +681,46 @@ def test_kd_blocks_stay_inside_one_subtree():
     assert np.concatenate(blocks).tobytes() == np.argsort(home, kind="stable").tobytes()
 
 
+def test_kd_sub_blocks_merge_while_their_scan_fits_a_buffer_half():
+    # the tree above: consecutive sub-blocks of one subtree merge while the
+    # block's rows x the live leaves of their union stay <= cap // 2. Only a
+    # merged block has more than _TREE_BLOCK_ROWS rows, as every sub-block
+    # but a subtree's last has that many. A 40-entry cap merges none: 33 rows x 1 leaf > 20
+    rng = np.random.default_rng(22)
+    centers = rng.uniform(-20.0, 20.0, size=(3, 2))
+    points = centers[rng.integers(0, 3, 20_000)] + rng.normal(0.0, 3.0, size=(20_000, 2))
+    queries = centers[rng.integers(0, 3, 2000)] + rng.normal(0.0, 3.0, size=(2000, 2))
+    tree = KdTreeIndex(points, DistanceMetric.EUCLIDEAN)
+    oracle = BruteForceIndex(points, DistanceMetric.EUCLIDEAN)
+    brute = oracle.query(queries, 10)
+    # brute force equals the per-row scan elsewhere; the scan takes 50 ms a row here,
+    # so it checks 20 rows spread over the home-leaf order
+    sample = np.argsort(tree._home_leaves(queries), kind="stable")[::100]
+    per_row = [oracle._search(queries[i], 10) for i in sample]
+    box_bounds = neighbors._box_bounds
+    no_merge = 32 * 40
+    for block_bytes in (neighbors._BLOCK_BYTES, no_merge, 1 << 24):
+        scans = []
+
+        def counted(lo, hi, q_lo, q_hi, *args):
+            if q_lo is q_hi:  # a block's per-row scan of its live leaves
+                scans.append((len(q_lo), lo.shape[1]))
+            return box_bounds(lo, hi, q_lo, q_hi, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_box_bounds", counted)
+            mp.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
+            result = tree.query(queries, 10)
+        merged = [(rows, live) for rows, live in scans if rows > neighbors._TREE_BLOCK_ROWS]
+        assert bool(merged) == (block_bytes != no_merge)
+        assert all(rows * live <= block_bytes // 4 // 8 // 2 for rows, live in merged)
+        assert result.indices.tobytes() == brute.indices.tobytes()
+        assert result.distances.tobytes() == brute.distances.tobytes()
+        for i, (indices, internal) in zip(sample, per_row):
+            assert result.indices[i].tobytes() == indices.tobytes()
+            assert result.distances[i].tobytes() == np.sqrt(internal).tobytes()
+
+
 def _recorded_seed_bounds(tree, queries, k):
     """Each query row's seed bound, from the (sel, bound) pairs of the
     blocks ``KdTreeIndex._blocks`` yields for ``tree.query``."""
@@ -1042,8 +1088,8 @@ def test_kd_query_peaks_below_2_mib_at_20000_x_8():
 
 @pytest.mark.parametrize("groups_per_k", [64, 2**20])
 def test_brute_force_query_peaks_below_3_25_mib_at_20000_x_8(groups_per_k):
-    # normal 20000 x 8, k 10, 1000 rows: 3154 KiB with r = 31 rounds of G = 645
-    # groups, 3179 KiB with the per-k constant patched so that r = 1 and G = n
+    # normal 20000 x 8, k 10, 1000 rows: 3212 KiB with r = 31 rounds of G = 645
+    # groups, 3231 KiB with the per-k constant patched so that r = 1 and G = n
     # (a sample of every 4th column: 3064 KiB). The group minima are written
     # into a scratch buffer: a (B, G) array made per block adds 480 KiB at r = 1
     rng = np.random.default_rng(29)
